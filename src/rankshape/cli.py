@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, RankshapeError
 from .evalstats import PassCounts, fit_decoupling_logit, load_decoupling_csv, pass_curve
-from .io import apply_overrides, load_run_config, read_trajectory
+from .io import apply_overrides, load_run_config, read_trajectory, text_lines
 from .probes import (
     LOW_OMEGA_THRESHOLD,
     ProbeSet,
@@ -119,21 +119,27 @@ def cmd_window_rank(args) -> int:
     return 0
 
 
+def _numbered_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank line of a text file."""
+    return [(n, line.strip()) for n, line in enumerate(text_lines(path), 1) if line.strip()]
+
+
 def cmd_reward(args) -> int:
-    path = Path(args.records)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in _numbered_lines(args.records):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InputError(f"record line {lineno} is not valid JSON: {exc}") from None
         if not isinstance(record, dict) or "correct" not in record or "norm_rank" not in record:
             raise InputError(f"record line {lineno} needs fields correct and norm_rank")
-        outcome = RolloutOutcome(correct=bool(record["correct"]),
-                                 norm_rank=float(record["norm_rank"]))
+        correct, rank = record["correct"], record["norm_rank"]
+        if correct not in (0, 1):  # JSON true/false or 0/1; "false" != 0
+            raise InputError(f"record line {lineno}: correct must be true/false/0/1, got {correct!r}")
+        try:
+            outcome = RolloutOutcome(correct=bool(correct), norm_rank=float(rank))
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"record line {lineno}: norm_rank must be a number, "
+                             f"got {rank!r}") from None
         print(json.dumps({
             "correct": outcome.correct,
             "norm_rank": outcome.norm_rank,
@@ -143,12 +149,7 @@ def cmd_reward(args) -> int:
 
 
 def cmd_advantage(args) -> int:
-    path = Path(args.rewards)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in _numbered_lines(args.rewards):
         try:
             rewards = [float(cell) for cell in line.split(",")]
         except ValueError:
@@ -159,14 +160,8 @@ def cmd_advantage(args) -> int:
 
 
 def cmd_passk(args) -> int:
-    path = Path(args.counts)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
     counts = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in _numbered_lines(args.counts):
         try:
             counts.append(int(line))
         except ValueError:
@@ -241,22 +236,18 @@ def cmd_report(args) -> int:
     rows = []
     for config_path in sorted(runs.glob("*.json")):
         try:
-            config = json.loads(config_path.read_text(encoding="utf-8"))
+            config = json.loads("".join(text_lines(config_path)))
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed config JSON {config_path}: {exc}") from None
         if not isinstance(config, dict) or "alpha" not in config or "train_seed" not in config:
             continue
-        trace_path = config_path.with_suffix(".csv")
-        if not trace_path.exists():
-            raise InputError(f"missing trace CSV for {config_path}")
-        trace = SimTrace.from_csv(trace_path)
-        rows.append((
-            float(config["alpha"]),
-            int(config["train_seed"]),
-            len(trace),
-            float(trace.mean_windowed_erank[-1]),
-            float(trace.success_rate[-1]),
-        ))
+        try:
+            alpha, seed = float(config["alpha"]), int(config["train_seed"])
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"non-numeric alpha or train_seed in {config_path}") from None
+        trace = SimTrace.from_csv(config_path.with_suffix(".csv"))
+        rows.append((alpha, seed, len(trace), float(trace.mean_windowed_erank[-1]),
+                     float(trace.success_rate[-1])))
     if not rows:
         raise InputError(f"no run records found in {runs}")
     rows.sort(key=lambda row: (row[0], row[1]))

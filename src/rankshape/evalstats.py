@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     DegenerateLabelsError,
@@ -20,12 +19,15 @@ from .errors import (
     RangeError,
     SeparableDataError,
 )
+from .io import text_lines
 
 DECOUPLING_CSV_HEADER = ("eff_rank", "entropy", "correct")
 
 # Coefficient norm at which the fit is declared separated: logits this far
 # out move predictions by < 1e-13, so growth past it is pure divergence.
 COEF_BOUND = 30.0
+GRADIENT_TOL = 1e-8
+MAX_NEWTON_ITER = 100
 
 
 def pass_at_k(n: int, c: int, k: int) -> float:
@@ -139,14 +141,13 @@ class LogitFit:
         return json.dumps(self.to_record())
 
 
-def fit_decoupling_logit(samples, max_iter: int = 100, tol: float = 1e-8,
-                         coef_bound: float = COEF_BOUND) -> LogitFit:
+def fit_decoupling_logit(samples) -> LogitFit:
     """Logistic regression of correctness on z-scored (eff_rank, entropy).
 
     Newton/IRLS steps run until the log-likelihood gradient norm drops
-    below tol. Standard errors come from the inverse observed information
-    at the optimum; p-values are two-sided normal. Raises on single-class
-    labels and on coefficient divergence (perfect separation).
+    below GRADIENT_TOL. Standard errors come from the inverse observed
+    information at the optimum; p-values are two-sided normal. Raises on
+    single-class labels and on coefficient divergence (perfect separation).
     """
     samples = list(samples)
     if len(samples) < 20:
@@ -164,16 +165,16 @@ def fit_decoupling_logit(samples, max_iter: int = 100, tol: float = 1e-8,
     beta = np.zeros(3)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_NEWTON_ITER + 1):
         p = _sigmoid(X @ beta)
         grad = X.T @ (y - p)
-        if np.linalg.norm(grad) < tol:
+        if np.linalg.norm(grad) < GRADIENT_TOL:
             converged = True
             break
         w = np.maximum(p * (1.0 - p), 1e-12)
         hessian = X.T @ (X * w[:, None])
         beta = beta + np.linalg.solve(hessian, grad)
-        if np.linalg.norm(beta) > coef_bound:
+        if np.linalg.norm(beta) > COEF_BOUND:
             raise SeparableDataError(
                 "separable data: coefficients diverged, Wald inference is meaningless")
 
@@ -181,13 +182,12 @@ def fit_decoupling_logit(samples, max_iter: int = 100, tol: float = 1e-8,
     w = np.maximum(p * (1.0 - p), 1e-12)
     covariance = np.linalg.inv(X.T @ (X * w[:, None]))
     se = np.sqrt(np.diag(covariance))
-    pvals = 2.0 * stats.norm.sf(np.abs(beta / se))
     return LogitFit(
         beta0=float(beta[0]),
         beta_r=float(beta[1]),
         beta_e=float(beta[2]),
         std_errors=tuple(float(x) for x in se),
-        p_values=tuple(float(x) for x in pvals),
+        p_values=tuple(math.erfc(abs(z) * math.sqrt(0.5)) for z in beta / se),
         converged=converged,
         iterations=iterations,
     )
@@ -199,38 +199,34 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 
 def load_decoupling_csv(path) -> list[DecouplingSample]:
     """Read ``eff_rank,entropy,correct`` rows; correct must be 0 or 1."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError("bad_header", "empty samples file") from None
-        if tuple(h.strip() for h in header) != DECOUPLING_CSV_HEADER:
+    reader = csv.reader(text_lines(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FileFormatError("bad_header", "empty samples file") from None
+    if tuple(h.strip() for h in header) != DECOUPLING_CSV_HEADER:
+        raise FileFormatError(
+            "bad_header",
+            f"expected header {','.join(DECOUPLING_CSV_HEADER)}, got {','.join(header)}")
+    samples = []
+    for row_number, row in enumerate(reader, 2):
+        if not row:
+            continue
+        if len(row) != 3:
             raise FileFormatError(
-                "bad_header",
-                f"expected header {','.join(DECOUPLING_CSV_HEADER)}, got {','.join(header)}")
-        samples = []
-        for row_number, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FileFormatError(
-                    "dimension_mismatch", f"row {row_number} has {len(row)} fields, expected 3")
-            try:
-                eff_rank = float(row[0])
-                entropy = float(row[1])
-                flag = int(row[2])
-            except ValueError:
-                raise FileFormatError(
-                    "bad_value", f"unparseable value at row {row_number}") from None
-            if flag not in (0, 1):
-                raise FileFormatError(
-                    "bad_value", f"correct must be 0 or 1 at row {row_number}, got {row[2]}")
-            try:
-                samples.append(DecouplingSample(eff_rank, entropy, bool(flag)))
-            except InputError as exc:
-                raise FileFormatError("bad_value", f"row {row_number}: {exc}") from None
+                "dimension_mismatch", f"row {row_number} has {len(row)} fields, expected 3")
+        try:
+            eff_rank = float(row[0])
+            entropy = float(row[1])
+            flag = int(row[2])
+        except ValueError:
+            raise FileFormatError(
+                "bad_value", f"unparseable value at row {row_number}") from None
+        if flag not in (0, 1):
+            raise FileFormatError(
+                "bad_value", f"correct must be 0 or 1 at row {row_number}, got {row[2]}")
+        try:
+            samples.append(DecouplingSample(eff_rank, entropy, bool(flag)))
+        except InputError as exc:
+            raise FileFormatError("bad_value", f"row {row_number}: {exc}") from None
     return samples

@@ -60,7 +60,7 @@ def read_trajectory(path) -> np.ndarray:
 
 def read_trajectory_with_metadata(path) -> tuple[np.ndarray, dict | None]:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise InputError(f"no such file: {path}")
     if path.suffix.lower() == ".csv":
         return _read_csv(path), None
@@ -105,24 +105,35 @@ def _read_hstb(path: Path) -> tuple[np.ndarray, dict | None]:
     return values, metadata
 
 
+def text_lines(path):
+    """Stream a UTF-8 text file's lines; InputError if it is missing or not UTF-8."""
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"no such file: {path}")
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"not UTF-8 text: {path}: {exc.reason}") from None
+
+
 def _read_csv(path: Path) -> np.ndarray:
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for r, line in enumerate(csv.reader(fh)):
-            if not line:
-                continue
-            parsed = []
-            for c, cell in enumerate(line):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise FileFormatError(
-                        "bad_value", f"unparseable value at row {r}, column {c}") from None
-                if not math.isfinite(value):
-                    raise FileFormatError(
-                        "non_finite_value", f"non-finite value at row {r}, column {c}")
-                parsed.append(value)
-            rows.append(parsed)
+    for r, line in enumerate(csv.reader(text_lines(path))):
+        if not line:
+            continue
+        parsed = []
+        for c, cell in enumerate(line):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise FileFormatError(
+                    "bad_value", f"unparseable value at row {r}, column {c}") from None
+            if not math.isfinite(value):
+                raise FileFormatError(
+                    "non_finite_value", f"non-finite value at row {r}, column {c}")
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise FileFormatError("dimension_mismatch", f"empty trajectory file: {path}")
     width = len(rows[0])
@@ -198,10 +209,7 @@ def parse_run_config(text: str, source: str = "config") -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    return parse_run_config(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_run_config("".join(text_lines(path)), source=str(path))
 
 
 def apply_overrides(cfg: RunConfig, assignments) -> RunConfig:

@@ -126,15 +126,13 @@ def lookahead_manifold(samples, energy_threshold: float = DEFAULT_ENERGY_THRESHO
         raise ZeroVarianceError("zero-variance look-ahead: all states identical") from None
 
 
-def orthogonality_score(probe, basis: ManifoldBasis, eps: float = DEFAULT_EPS) -> float:
+def orthogonality_score(probe, basis: ManifoldBasis) -> float:
     """Fraction of the centered probe's norm outside the basis span.
 
-    omega = ||(I - U U^T)(z - mean)|| / (||z - mean|| + eps), which lands
+    omega = ||(I - U U^T)(z - mean)|| / (||z - mean|| + DEFAULT_EPS), which lands
     in [0, 1): 0 for vectors inside the span, just under 1 for vectors
     orthogonal to it.
     """
-    if eps <= 0.0:
-        raise InputError(f"eps must be positive, got {eps}")
     z = np.asarray(probe, dtype=np.float64)
     if z.ndim != 1 or z.size != basis.dim:
         raise InputError(f"probe must be a {basis.dim}-vector, got shape {z.shape}")
@@ -142,12 +140,12 @@ def orthogonality_score(probe, basis: ManifoldBasis, eps: float = DEFAULT_EPS) -
         raise InputError("probe contains non-finite values")
     centered = z - basis.mean
     residual = centered - basis.directions @ (basis.directions.T @ centered)
-    return float(np.linalg.norm(residual) / (np.linalg.norm(centered) + eps))
+    return float(np.linalg.norm(residual) / (np.linalg.norm(centered) + DEFAULT_EPS))
 
 
-def select_probe(probes: ProbeSet, basis: ManifoldBasis, eps: float = DEFAULT_EPS) -> ProbeChoice:
+def select_probe(probes: ProbeSet, basis: ManifoldBasis) -> ProbeChoice:
     """Pick the most orthogonal probe; ties go to the lowest index."""
-    scores = [orthogonality_score(v, basis, eps) for v in probes.vectors]
+    scores = [orthogonality_score(v, basis) for v in probes.vectors]
     best = max(scores)
     index = next(i for i, s in enumerate(scores) if s >= best - TIE_TOLERANCE)
     return ProbeChoice(index=index, label=probes.labels[index], omega=scores[index])
@@ -155,14 +153,12 @@ def select_probe(probes: ProbeSet, basis: ManifoldBasis, eps: float = DEFAULT_EP
 
 def plan_stitch(teacher_trace, prefix_length: int, lookahead_states, probes: ProbeSet,
                 energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
-                eps: float = DEFAULT_EPS,
-                warning_threshold: float = LOW_OMEGA_THRESHOLD,
                 query_id: str | None = None) -> StitchPlan:
     """Full ejection decision for one prefix of a teacher trace.
 
     Builds the look-ahead manifold, scores the probes, and flags a warning
     when even the winner is nearly inside the manifold (omega below
-    warning_threshold), meaning no probe actually escapes.
+    LOW_OMEGA_THRESHOLD), meaning no probe actually escapes.
     """
     H = validate_trajectory(teacher_trace)
     if not 1 <= prefix_length <= H.shape[0]:
@@ -173,13 +169,13 @@ def plan_stitch(teacher_trace, prefix_length: int, lookahead_states, probes: Pro
             f"look-ahead states have dimension {basis.dim}, teacher trace has {H.shape[1]}")
     if probes.dim != basis.dim:
         raise InputError(f"probes have dimension {probes.dim}, states have {basis.dim}")
-    choice = select_probe(probes, basis, eps)
+    choice = select_probe(probes, basis)
     return StitchPlan(
         prefix_length=int(prefix_length),
         probe_index=choice.index,
         probe_label=choice.label,
         omega_score=choice.omega,
         basis_k=basis.k,
-        warning=choice.omega < warning_threshold,
+        warning=choice.omega < LOW_OMEGA_THRESHOLD,
         query_id=query_id,
     )

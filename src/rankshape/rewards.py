@@ -44,10 +44,10 @@ def total_reward(outcome: RolloutOutcome, alpha: float = DEFAULT_ALPHA) -> float
     return 1.0 + alpha * outcome.norm_rank
 
 
-def group_advantages(rewards, std_floor: float = STD_FLOOR) -> np.ndarray:
+def group_advantages(rewards) -> np.ndarray:
     """Standardize rewards within one group: (R - mean) / population std.
 
-    Returns all zeros when the spread is below std_floor (all rollouts
+    Returns all zeros when the spread is below STD_FLOOR (all rollouts
     equally good; nothing to rank).
     """
     r = np.asarray(rewards, dtype=np.float64)
@@ -56,7 +56,7 @@ def group_advantages(rewards, std_floor: float = STD_FLOOR) -> np.ndarray:
     if not np.all(np.isfinite(r)):
         raise InputError("rewards contain non-finite values")
     std = float(r.std())
-    if std < std_floor:
+    if std < STD_FLOOR:
         return np.zeros_like(r)
     return (r - r.mean()) / std
 
@@ -93,14 +93,13 @@ class GroupSample:
         return len(self.outcomes)
 
 
-def score_group(query_id, outcomes, alpha: float = DEFAULT_ALPHA,
-                std_floor: float = STD_FLOOR) -> GroupSample:
+def score_group(query_id, outcomes, alpha: float = DEFAULT_ALPHA) -> GroupSample:
     """Apply the rank-aware reward and group standardization to one group."""
     outcomes = tuple(outcomes)
     if len(outcomes) < 2:
         raise GroupSizeError("group too small: need at least 2 rollouts")
     rewards = tuple(total_reward(o, alpha) for o in outcomes)
-    advantages = group_advantages(rewards, std_floor)
+    advantages = group_advantages(rewards)
     return GroupSample(
         query_id=str(query_id),
         outcomes=outcomes,

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GroupSizeError, InputError, RangeError
+from .io import text_lines
 from .rewards import DEFAULT_GROUP_SIZE, RolloutOutcome, group_advantages, total_reward
-from .spectral import covariance_spectrum, effective_rank
+from .spectral import covariance_spectrum, erank_or_floor
 from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH, norm_rank, windowed_min_effrank
 
 DEFAULT_LEARNING_RATE = 0.05
@@ -270,20 +271,23 @@ class SimTrace:
 
     @classmethod
     def from_csv(cls, path) -> "SimTrace":
-        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-        if not text or text[0].strip() != cls.CSV_HEADER:
+        lines = [line.strip() for line in text_lines(path) if line.strip()]
+        if not lines or lines[0] != cls.CSV_HEADER:
             raise InputError(f"not a trace CSV (bad header): {path}")
-        rows = [line.split(",") for line in text[1:] if line.strip()]
+        rows = [line.split(",") for line in lines[1:]]
         if not rows or any(len(r) != 5 for r in rows):
             raise InputError(f"malformed trace CSV: {path}")
         cols = list(zip(*rows))
-        return cls(
-            iteration=np.array([int(x) for x in cols[0]]),
-            mean_windowed_erank=np.array([float(x) for x in cols[1]]),
-            success_rate=np.array([float(x) for x in cols[2]]),
-            mean_reward=np.array([float(x) for x in cols[3]]),
-            policy_entropy=np.array([float(x) for x in cols[4]]),
-        )
+        try:
+            return cls(
+                iteration=np.array([int(x) for x in cols[0]]),
+                mean_windowed_erank=np.array([float(x) for x in cols[1]]),
+                success_rate=np.array([float(x) for x in cols[2]]),
+                mean_reward=np.array([float(x) for x in cols[3]]),
+                policy_entropy=np.array([float(x) for x in cols[4]]),
+            )
+        except ValueError:
+            raise InputError(f"unparseable number in trace CSV: {path}") from None
 
     def config_json(self) -> str:
         import json
@@ -396,8 +400,7 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
         values = np.empty(samples_per_scale)
         for i in range(samples_per_scale):
             r = rollout(scaled, env, np.random.SeedSequence([seed, j, i]))
-            spectrum = covariance_spectrum(r.states)
-            values[i] = 1.0 if spectrum.total_mass <= 0.0 else effective_rank(spectrum)
+            values[i] = erank_or_floor(covariance_spectrum(r.states))
         means.append(float(values.mean()))
         errors.append(float(values.std(ddof=1) / np.sqrt(samples_per_scale))
                       if samples_per_scale > 1 else 0.0)

@@ -93,13 +93,11 @@ def _cleanup(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def covariance_spectrum(H, method: str = "auto") -> Spectrum:
-    """Eigenvalues of the covariance (1/T)(H - mean)^T (H - mean).
+def _centered_eigh(H, method: str = "auto", vectors: bool = False):
+    """Centre H; eigendecompose its "covariance", "gram" or smaller ("auto") matrix.
 
-    ``method`` picks the decomposition path: "covariance" for the d x d
-    covariance, "gram" for the T x T Gram matrix of centered rows, or
-    "auto" for whichever is smaller. A trajectory with a single row has
-    zero centered variance and yields the zero spectrum.
+    Returns (centered, mean, vals, vecs): the min(T, d) cleaned eigenvalues,
+    descending, and their eigenvectors as columns (None without ``vectors``).
     """
     centered, mean = center(H)
     T, d = centered.shape
@@ -111,8 +109,24 @@ def covariance_spectrum(H, method: str = "auto") -> Spectrum:
         M = centered.T @ centered / T
     else:
         raise InputError(f"unknown spectrum method {method!r}")
-    vals = np.linalg.eigvalsh(M)[::-1]
-    return Spectrum(_cleanup(vals[: min(T, d)]), mean)
+    m = min(T, d)
+    if vectors:
+        vals, vecs = np.linalg.eigh(M)
+        vecs = vecs[:, ::-1][:, :m]
+    else:
+        vals, vecs = np.linalg.eigvalsh(M), None
+    return centered, mean, _cleanup(vals[::-1][:m]), vecs
+
+
+def covariance_spectrum(H, method: str = "auto") -> Spectrum:
+    """Eigenvalues of the covariance (1/T)(H - mean)^T (H - mean).
+
+    ``method`` picks the decomposition path: "covariance", "gram" or "auto"
+    (see _centered_eigh). A trajectory with a single row has zero centered
+    variance and yields the zero spectrum.
+    """
+    _, mean, vals, _ = _centered_eigh(H, method)
+    return Spectrum(vals, mean)
 
 
 def spectral_entropy(spectrum: Spectrum) -> float:
@@ -129,6 +143,11 @@ def spectral_entropy(spectrum: Spectrum) -> float:
 def effective_rank(spectrum: Spectrum) -> float:
     """exp of the spectral entropy: a continuous dimensionality in [1, rank]."""
     return float(np.exp(spectral_entropy(spectrum)))
+
+
+def erank_or_floor(spectrum: Spectrum) -> float:
+    """Effective rank, or the floor 1.0 for a zero-mass (fully collapsed) spectrum."""
+    return 1.0 if spectrum.total_mass <= 0.0 else effective_rank(spectrum)
 
 
 @dataclass(frozen=True)
@@ -170,29 +189,18 @@ def principal_subspace(H, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD) ->
     """
     if not 0.0 < energy_threshold <= 1.0:
         raise InputError(f"energy_threshold must be in (0, 1], got {energy_threshold}")
-    centered, mean = center(H)
+    centered, mean, vals, vecs = _centered_eigh(H, vectors=True)
     T, d = centered.shape
     if T < 2:
         raise InputError("principal subspace needs at least 2 rows")
+    total = float(vals.sum())
+    if total <= 0.0:
+        raise ZeroVarianceError("zero-variance trajectory: all rows identical")
+    k = _count_for_energy(vals, total, energy_threshold)
     if T < d:
-        gram = centered @ centered.T / T
-        raw, u = np.linalg.eigh(gram)
-        vals = _cleanup(raw[::-1])
-        u = u[:, ::-1]
-        total = float(vals.sum())
-        if total <= 0.0:
-            raise ZeroVarianceError("zero-variance trajectory: all rows identical")
-        k = _count_for_energy(vals, total, energy_threshold)
-        directions = centered.T @ u[:, :k] / np.sqrt(T * vals[:k])
+        directions = centered.T @ vecs[:, :k] / np.sqrt(T * vals[:k])
     else:
-        cov = centered.T @ centered / T
-        raw, v = np.linalg.eigh(cov)
-        vals = _cleanup(raw[::-1])
-        total = float(vals.sum())
-        if total <= 0.0:
-            raise ZeroVarianceError("zero-variance trajectory: all rows identical")
-        k = _count_for_energy(vals, total, energy_threshold)
-        directions = v[:, ::-1][:, :k]
+        directions = vecs[:, :k]
     captured = float(vals[:k].sum() / total)
     return ManifoldBasis(mean=mean, directions=directions, captured_energy=captured)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NormalizationError, TrajectoryTooShortError
-from .spectral import covariance_spectrum, effective_rank, validate_trajectory
+from .spectral import covariance_spectrum, erank_or_floor, validate_trajectory
 
 DEFAULT_WIDTH = 64
 DEFAULT_STRIDE = 16
@@ -63,13 +63,7 @@ def windowed_min_effrank(H, width: int = DEFAULT_WIDTH, stride: int = DEFAULT_ST
     if stride < 1:
         raise InputError(f"stride must be >= 1, got {stride}")
     starts = window_starts(T, width, stride)
-    eranks = []
-    for start in starts:
-        spectrum = covariance_spectrum(H[start:start + width])
-        if spectrum.total_mass <= 0.0:
-            eranks.append(1.0)
-        else:
-            eranks.append(effective_rank(spectrum))
+    eranks = [erank_or_floor(covariance_spectrum(H[start:start + width])) for start in starts]
     return WindowRankProfile(
         window_width=width,
         stride=stride,

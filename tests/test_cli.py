@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankshape
 from rankshape import write_trajectory
 from rankshape.cli import main
 
@@ -313,3 +318,126 @@ class TestArgumentErrors:
         path.write_text("1\n")
         code, _, err = run_cli(capsys, "passk", str(path))
         assert code == 1
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("record", [
+        '{"correct": true, "norm_rank": "abc"}',
+        '{"correct": true, "norm_rank": null}',
+        '{"correct": true, "norm_rank": [0.5]}',
+        '{"correct": "false", "norm_rank": 0.5}',
+        '{"correct": "true", "norm_rank": 0.5}',
+        '{"correct": null, "norm_rank": 0.5}',
+        '{"correct": 2, "norm_rank": 0.5}',
+    ])
+    def test_reward_rejects_bad_field(self, capsys, tmp_path, record):
+        path = tmp_path / "records.jsonl"
+        path.write_text(record + "\n")
+        code, out, err = run_cli(capsys, "reward", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error [input]:")
+        assert "line 1" in err
+
+    def test_reward_accepts_zero_one_flags(self, capsys, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"correct": 1, "norm_rank": 0.5}\n'
+                        '{"correct": 0, "norm_rank": 0.5}\n')
+        code, out, _ = run_cli(capsys, "reward", "--alpha", "0.5", str(path))
+        assert code == 0
+        rewards = [json.loads(line)["reward"] for line in out.strip().splitlines()]
+        assert rewards == [1.25, 0.0]
+
+    def write_run(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 3\nhorizon = 12\nwindow = 12\n")
+        out_dir = tmp_path / "runs"
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 0
+        record = json.loads(out.strip())
+        return out_dir, Path(record["config"]), Path(record["trace"])
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "abc"), ("train_seed", "abc"), ("train_seed", None), ("alpha", [1]),
+    ])
+    def test_report_non_numeric_config_value(self, capsys, tmp_path, key, value):
+        out_dir, config_path, _ = self.write_run(tmp_path, capsys)
+        config = json.loads(config_path.read_text())
+        config[key] = value
+        config_path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "report", "--runs", str(out_dir))
+        assert code == 1
+        assert err.startswith("error [input]:")
+        assert config_path.name in err
+
+    def test_report_unparseable_trace_number(self, capsys, tmp_path):
+        out_dir, _, trace_path = self.write_run(tmp_path, capsys)
+        lines = trace_path.read_text().splitlines()
+        lines[-1] = "2,abc,0.5,0.5,1.0"
+        trace_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "report", "--runs", str(out_dir))
+        assert code == 1
+        assert err.startswith("error [input]:")
+        assert trace_path.name in err
+
+
+NOT_UTF8 = b"\xff\xfe\x00bad\n"
+
+
+def _not_utf8_case(tmp_path, capsys, command):
+    """Argv for `command` with one input file replaced by non-UTF-8 bytes."""
+    bad = tmp_path / "bad"
+    if command == "effrank":
+        bad = bad.with_suffix(".csv")
+        bad.write_bytes(b"1.0,2.0\n" + NOT_UTF8)
+        return ["effrank", str(bad)]
+    if command in ("reward", "advantage"):
+        bad.write_bytes(NOT_UTF8)
+        return [command, str(bad)]
+    if command == "passk":
+        bad.write_bytes(NOT_UTF8)
+        return ["passk", "--n", "4", "--ks", "1", str(bad)]
+    if command == "fit-decouple":
+        bad.write_bytes(b"eff_rank,entropy,correct\n" + NOT_UTF8)
+        return ["fit-decouple", str(bad)]
+    if command == "simulate":
+        bad.write_bytes(b"alpha = 0.5 # \xe9\n")
+        return ["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iterations = 2\nhorizon = 12\nwindow = 12\n")
+    runs = tmp_path / "runs"
+    assert main(["simulate", "--config", str(cfg), "--out", str(runs)]) == 0
+    capsys.readouterr()
+    target = "json" if command == "report-config" else "csv"
+    path = next(runs.glob(f"*.{target}"))
+    path.write_bytes(path.read_bytes() + NOT_UTF8)
+    return ["report", "--runs", str(runs)]
+
+
+@pytest.mark.parametrize("command", [
+    "effrank", "reward", "advantage", "passk", "fit-decouple", "simulate",
+    "report-config", "report-trace",
+])
+def test_non_utf8_input_is_input_error(capsys, tmp_path, command):
+    argv = _not_utf8_case(tmp_path, capsys, command)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error [input]:")
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["effrank", "reward", "advantage"])
+def test_directory_input_is_input_error(capsys, tmp_path, command):
+    code, _, err = run_cli(capsys, command, str(tmp_path))
+    assert code == 1
+    assert err.startswith("error [input]: no such file")
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(rankshape.__file__).resolve().parents[1])
+    probe = ("import sys, rankshape.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "[]"

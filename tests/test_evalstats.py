@@ -218,6 +218,13 @@ class TestFitDecouplingLogit:
         with pytest.raises(InputError):
             fit_decoupling_logit(samples)
 
+    def test_p_values_pinned(self):
+        # Two-sided normal tail probabilities recorded from
+        # 2 * scipy.stats.norm.sf(|z|) for this fit.
+        fit = fit_decoupling_logit(synthetic_samples(0, 5000))
+        expected = [0.11302804262067079, 1.8959679798536757e-73, 0.9260338935439979]
+        np.testing.assert_allclose(fit.p_values, expected, rtol=1e-12, atol=0.0)
+
     def test_json_record(self):
         fit = fit_decoupling_logit(synthetic_samples(5, 500))
         record = json.loads(fit.to_json())

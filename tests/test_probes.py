@@ -87,11 +87,6 @@ class TestOrthogonalityScore:
         with pytest.raises(InputError):
             orthogonality_score(np.ones(3), basis)
 
-    def test_bad_eps_rejected(self):
-        basis = planar_basis()
-        with pytest.raises(InputError):
-            orthogonality_score(np.ones(4), basis, eps=0.0)
-
 
 class TestSelectProbe:
     def test_picks_most_orthogonal(self):

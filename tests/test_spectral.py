@@ -11,6 +11,7 @@ from rankshape import (
     confinement_ratio,
     covariance_spectrum,
     effective_rank,
+    erank_or_floor,
     principal_subspace,
     spectral_entropy,
     validate_trajectory,
@@ -155,6 +156,12 @@ class TestEntropyAndRank:
     def test_degenerate_spectrum_raises(self):
         with pytest.raises(DegenerateSpectrumError):
             spectral_entropy(Spectrum(np.zeros(4)))
+
+    def test_erank_or_floor(self):
+        assert erank_or_floor(Spectrum(np.zeros(4))) == 1.0
+        assert erank_or_floor(covariance_spectrum(np.ones((5, 3)))) == 1.0
+        s = Spectrum(np.array([0.5, 0.25, 0.25]))
+        assert erank_or_floor(s) == effective_rank(s)
 
     def test_bounds_on_random_trajectories(self):
         rng = np.random.default_rng(5)
