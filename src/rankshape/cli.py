@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -124,6 +125,23 @@ def _numbered_lines(path) -> list[tuple[int, str]]:
     return [(n, line.strip()) for n, line in enumerate(text_lines(path), 1) if line.strip()]
 
 
+def _json_number(value, integral: bool = False):
+    """A finite JSON number as a float, or an int when ``integral``; None otherwise.
+
+    Booleans are not numbers here, although Python counts them as ints, and
+    neither are the NaN and Infinity that Python's json module accepts.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if integral:
+        return int(value) if isinstance(value, int) or value.is_integer() else None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def cmd_reward(args) -> int:
     for lineno, line in _numbered_lines(args.records):
         try:
@@ -132,14 +150,13 @@ def cmd_reward(args) -> int:
             raise InputError(f"record line {lineno} is not valid JSON: {exc}") from None
         if not isinstance(record, dict) or "correct" not in record or "norm_rank" not in record:
             raise InputError(f"record line {lineno} needs fields correct and norm_rank")
-        correct, rank = record["correct"], record["norm_rank"]
+        correct, rank = record["correct"], _json_number(record["norm_rank"])
         if correct not in (0, 1):  # JSON true/false or 0/1; "false" != 0
             raise InputError(f"record line {lineno}: correct must be true/false/0/1, got {correct!r}")
-        try:
-            outcome = RolloutOutcome(correct=bool(correct), norm_rank=float(rank))
-        except (TypeError, ValueError, OverflowError):
+        if rank is None:
             raise InputError(f"record line {lineno}: norm_rank must be a number, "
-                             f"got {rank!r}") from None
+                             f"got {record['norm_rank']!r}")
+        outcome = RolloutOutcome(correct=bool(correct), norm_rank=rank)
         print(json.dumps({
             "correct": outcome.correct,
             "norm_rank": outcome.norm_rank,
@@ -241,10 +258,10 @@ def cmd_report(args) -> int:
             raise InputError(f"malformed config JSON {config_path}: {exc}") from None
         if not isinstance(config, dict) or "alpha" not in config or "train_seed" not in config:
             continue
-        try:
-            alpha, seed = float(config["alpha"]), int(config["train_seed"])
-        except (TypeError, ValueError, OverflowError):
-            raise InputError(f"non-numeric alpha or train_seed in {config_path}") from None
+        alpha = _json_number(config["alpha"])
+        seed = _json_number(config["train_seed"], integral=True)
+        if alpha is None or seed is None:
+            raise InputError(f"alpha must be a number and train_seed an integer in {config_path}")
         trace = SimTrace.from_csv(config_path.with_suffix(".csv"))
         rows.append((alpha, seed, len(trace), float(trace.mean_windowed_erank[-1]),
                      float(trace.success_rate[-1])))

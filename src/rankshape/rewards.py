@@ -35,13 +35,17 @@ class RolloutOutcome:
             raise InputError(f"norm_rank must be in [0, 1], got {self.norm_rank}")
 
 
-def total_reward(outcome: RolloutOutcome, alpha: float = DEFAULT_ALPHA) -> float:
-    """Correctness gate times (1 + alpha * norm_rank); incorrect is exactly 0.0."""
+def gated_rewards(correct, norm_rank, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
+    """Correctness gate times (1 + alpha * norm_rank), elementwise over arrays
+    of verdicts and rank scores; incorrect is exactly 0.0."""
     if alpha < 0.0:
         raise InputError(f"alpha must be >= 0, got {alpha}")
-    if not outcome.correct:
-        return 0.0
-    return 1.0 + alpha * outcome.norm_rank
+    return np.where(correct, 1.0 + alpha * np.asarray(norm_rank, dtype=np.float64), 0.0)
+
+
+def total_reward(outcome: RolloutOutcome, alpha: float = DEFAULT_ALPHA) -> float:
+    """The gated reward of one outcome (see gated_rewards)."""
+    return float(gated_rewards(outcome.correct, outcome.norm_rank, alpha))
 
 
 def group_advantages(rewards) -> np.ndarray:

@@ -22,9 +22,17 @@ import numpy as np
 
 from .errors import GroupSizeError, InputError, RangeError
 from .io import text_lines
-from .rewards import DEFAULT_GROUP_SIZE, RolloutOutcome, group_advantages, total_reward
-from .spectral import covariance_spectrum, erank_or_floor
-from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH, norm_rank, windowed_min_effrank
+# total_reward and windowed_min_effrank are not called here, but
+# perfbench/spans.py traces them under rankshape.sim, so the names must
+# keep resolving in this module.
+from .rewards import DEFAULT_GROUP_SIZE, gated_rewards, group_advantages, total_reward  # noqa: F401
+from .spectral import erank_stack
+from .windows import (  # noqa: F401
+    DEFAULT_STRIDE,
+    DEFAULT_WIDTH,
+    stacked_min_effrank,
+    windowed_min_effrank,
+)
 
 DEFAULT_LEARNING_RATE = 0.05
 DEFAULT_BIAS_LOGIT = 2.0
@@ -187,29 +195,43 @@ class Rollout:
     log_prob: float
 
 
-def rollout(policy: PolicyParams, env: EnvSpec, seed) -> Rollout:
-    """Sample horizon tokens i.i.d. and run the leaky state recurrence.
+def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
+    """Sample one rollout per seed and run the group's state recurrences together.
 
-    ``seed`` is anything numpy's default_rng accepts (int, SeedSequence,
-    Generator). Correctness: the normalized final state's projection on
-    u_star reaches tau.
+    Each seed is anything numpy's default_rng accepts (int, SeedSequence,
+    Generator); rollout i draws its horizon tokens i.i.d. from its own
+    generator, so it does not depend on the rest of the group. The leaky
+    recurrence then runs once over the (G, d) group state. Correctness: the
+    normalized final state's projection on u_star reaches tau.
+
+    Returns (tokens, states, correct, log_prob) with shapes (G, horizon),
+    (G, horizon, d), (G,) and (G,).
     """
     if policy.logits.size != env.vocab:
         raise InputError(
             f"policy has {policy.logits.size} logits for a {env.vocab}-token vocabulary")
-    rng = np.random.default_rng(seed)
     p = policy.probs()
-    tokens = rng.choice(env.vocab, size=env.horizon, p=p)
-    states = np.empty((env.horizon, env.d))
-    h = np.zeros(env.d)
-    for t, a in enumerate(tokens):
-        h = env.decay * h + env.directions[a]
-        states[t] = h
-    final = states[-1]
-    norm = float(np.linalg.norm(final))
-    correct = norm > 0.0 and float(final @ env.u_star) / norm >= env.tau
-    log_prob = float(np.log(p[tokens]).sum())
-    return Rollout(tokens=tokens, states=states, correct=bool(correct), log_prob=log_prob)
+    tokens = np.array([np.random.default_rng(s).choice(env.vocab, size=env.horizon, p=p)
+                       for s in seeds])
+    steps = env.directions[tokens]
+    states = np.empty_like(steps)
+    h = np.zeros_like(steps[:, 0])
+    for t in range(env.horizon):
+        h = env.decay * h + steps[:, t]
+        states[:, t] = h
+    final = states[:, -1]
+    norm = np.linalg.norm(final, axis=-1)
+    cosine = (final @ env.u_star) / np.where(norm > 0.0, norm, 1.0)
+    correct = (norm > 0.0) & (cosine >= env.tau)
+    log_prob = np.log(p[tokens]).sum(axis=-1)
+    return tokens, states, correct, log_prob
+
+
+def rollout(policy: PolicyParams, env: EnvSpec, seed) -> Rollout:
+    """sample_group for the single seed ``seed``."""
+    tokens, states, correct, log_prob = sample_group(policy, env, [seed])
+    return Rollout(tokens=tokens[0], states=states[0], correct=bool(correct[0]),
+                   log_prob=float(log_prob[0]))
 
 
 def weighted_log_prob(logits, scale: float, token_seqs, advantages) -> float:
@@ -301,11 +323,11 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
           window: int | None = None, stride: int = DEFAULT_STRIDE) -> SimTrace:
     """Group-normalized REINFORCE on the logits with the rank-aware reward.
 
-    Each iteration samples group_size rollouts (sub-seeded from seed and
-    the iteration index, so runs are bit-reproducible), scores them with
-    total_reward at this alpha, standardizes within the group, and ascends
-    the advantage-weighted log-probability. No KL term, no clipping, no
-    baseline beyond the group mean.
+    Each iteration samples a group of group_size rollouts (sub-seeded from
+    seed and the iteration index, so runs are bit-reproducible), scores
+    them with the gated rank reward at this alpha, standardizes within the
+    group, and ascends the advantage-weighted log-probability. No KL term,
+    no clipping, no baseline beyond the group mean.
     """
     if alpha < 0.0:
         raise InputError(f"alpha must be >= 0, got {alpha}")
@@ -329,25 +351,18 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
 
     for it in range(iterations):
         policy = PolicyParams(logits=theta, scale=scale)
-        samples = [rollout(policy, env, np.random.SeedSequence([seed, it, i]))
-                   for i in range(group_size)]
-        min_eranks = []
-        outcomes = []
-        for r in samples:
-            profile = windowed_min_effrank(r.states, width, stride)
-            min_eranks.append(profile.min_erank)
-            outcomes.append(RolloutOutcome(correct=r.correct,
-                                           norm_rank=norm_rank(profile),
-                                           log_prob=r.log_prob))
-        rewards = np.array([total_reward(o, alpha) for o in outcomes])
+        tokens, states, correct, _ = sample_group(
+            policy, env, [np.random.SeedSequence([seed, it, i]) for i in range(group_size)])
+        min_eranks, norm_ranks = stacked_min_effrank(states, width, stride)
+        rewards = gated_rewards(correct, norm_ranks, alpha)
         advantages = group_advantages(rewards)
 
         eranks[it] = np.mean(min_eranks)
-        successes[it] = np.mean([r.correct for r in samples])
+        successes[it] = np.mean(correct)
         rewards_out[it] = rewards.mean()
         entropies[it] = policy.entropy()
 
-        grad = policy_gradient(theta, scale, [r.tokens for r in samples], advantages)
+        grad = policy_gradient(theta, scale, tokens, advantages)
         theta = theta + learning_rate * grad
 
     config = {
@@ -397,10 +412,9 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
     errors = []
     for j, s in enumerate(scales):
         scaled = PolicyParams(logits=policy.logits, scale=policy.scale * s)
-        values = np.empty(samples_per_scale)
-        for i in range(samples_per_scale):
-            r = rollout(scaled, env, np.random.SeedSequence([seed, j, i]))
-            values[i] = erank_or_floor(covariance_spectrum(r.states))
+        _, states, _, _ = sample_group(
+            scaled, env, [np.random.SeedSequence([seed, j, i]) for i in range(samples_per_scale)])
+        values = erank_stack(states)
         means.append(float(values.mean()))
         errors.append(float(values.std(ddof=1) / np.sqrt(samples_per_scale))
                       if samples_per_scale > 1 else 0.0)
@@ -420,9 +434,7 @@ def geometric_barrier_probe(policy: PolicyParams, env: EnvSpec, delta: float,
         raise RangeError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    hits = 0
-    for i in range(samples):
-        r = rollout(policy, env, np.random.SeedSequence([seed, i]))
-        if float(np.linalg.norm(env.null_component(r.states[-1]))) > delta:
-            hits += 1
-    return hits / samples
+    _, states, _, _ = sample_group(
+        policy, env, [np.random.SeedSequence([seed, i]) for i in range(samples)])
+    escaped = np.linalg.norm(env.null_component(states[:, -1].T), axis=0) > delta
+    return int(escaped.sum()) / samples

@@ -86,36 +86,45 @@ class Spectrum:
 
 
 def _cleanup(vals: np.ndarray) -> np.ndarray:
-    """Clamp negatives to zero and zero out near-noise eigenvalues."""
+    """Clamp negatives to zero and zero out near-noise eigenvalues.
+
+    ``vals`` holds descending rows (..., m); each row is floored against its
+    own largest value.
+    """
     vals = np.clip(vals, 0.0, None)
-    if vals.size and vals[0] > 0.0:
-        vals[vals < EIGENVALUE_FLOOR * vals[0]] = 0.0
+    vals[vals < EIGENVALUE_FLOOR * vals[..., :1]] = 0.0
     return vals
 
 
-def _centered_eigh(H, method: str = "auto", vectors: bool = False):
-    """Centre H; eigendecompose its "covariance", "gram" or smaller ("auto") matrix.
+def _centered_eigh(H: np.ndarray, method: str = "auto", vectors: bool = False):
+    """Centre each (T, d) trajectory of H, a (..., T, d) float64 stack, and
+    eigendecompose its "covariance", "gram" or smaller ("auto") matrix.
 
-    Returns (centered, mean, vals, vecs): the min(T, d) cleaned eigenvalues,
-    descending, and their eigenvectors as columns (None without ``vectors``).
+    H is not validated here: public callers pass it through
+    validate_trajectory first, and the simulator builds its own finite
+    states. Returns (centered, mean, vals, vecs): per trajectory, the
+    min(T, d) cleaned eigenvalues, descending, and their eigenvectors as
+    columns (None without ``vectors``).
     """
-    centered, mean = center(H)
-    T, d = centered.shape
+    mean = H.mean(axis=-2)
+    centered = H - mean[..., None, :]
+    T, d = centered.shape[-2:]
     if method == "auto":
         method = "gram" if T < d else "covariance"
+    centered_t = np.swapaxes(centered, -1, -2)
     if method == "gram":
-        M = centered @ centered.T / T
+        M = centered @ centered_t / T
     elif method == "covariance":
-        M = centered.T @ centered / T
+        M = centered_t @ centered / T
     else:
         raise InputError(f"unknown spectrum method {method!r}")
     m = min(T, d)
     if vectors:
         vals, vecs = np.linalg.eigh(M)
-        vecs = vecs[:, ::-1][:, :m]
+        vecs = vecs[..., ::-1][..., :m]
     else:
         vals, vecs = np.linalg.eigvalsh(M), None
-    return centered, mean, _cleanup(vals[::-1][:m]), vecs
+    return centered, mean, _cleanup(vals[..., ::-1][..., :m]), vecs
 
 
 def covariance_spectrum(H, method: str = "auto") -> Spectrum:
@@ -125,7 +134,7 @@ def covariance_spectrum(H, method: str = "auto") -> Spectrum:
     (see _centered_eigh). A trajectory with a single row has zero centered
     variance and yields the zero spectrum.
     """
-    _, mean, vals, _ = _centered_eigh(H, method)
+    _, mean, vals, _ = _centered_eigh(validate_trajectory(H), method)
     return Spectrum(vals, mean)
 
 
@@ -145,9 +154,28 @@ def effective_rank(spectrum: Spectrum) -> float:
     return float(np.exp(spectral_entropy(spectrum)))
 
 
+def _erank_rows(vals: np.ndarray) -> np.ndarray:
+    """Effective rank of each row of cleaned eigenvalues (..., m), with the
+    floor 1.0 for a zero-mass (fully collapsed) row."""
+    total = vals.sum(axis=-1, keepdims=True)
+    p = vals / np.where(total > 0.0, total, 1.0)
+    plogp = p * np.log(np.where(p > 0.0, p, 1.0))
+    return np.where(total[..., 0] > 0.0, np.exp(-plogp.sum(axis=-1)), 1.0)
+
+
 def erank_or_floor(spectrum: Spectrum) -> float:
     """Effective rank, or the floor 1.0 for a zero-mass (fully collapsed) spectrum."""
-    return 1.0 if spectrum.total_mass <= 0.0 else effective_rank(spectrum)
+    return float(_erank_rows(spectrum.eigenvalues))
+
+
+def erank_stack(H: np.ndarray) -> np.ndarray:
+    """erank_or_floor of the covariance spectrum of each trajectory in a
+    (..., T, d) float64 stack, from one stacked eigensolve.
+
+    The stack is trusted to be finite, as the simulator builds it; a single
+    outside trajectory goes through covariance_spectrum instead.
+    """
+    return _erank_rows(_centered_eigh(H)[2])
 
 
 @dataclass(frozen=True)
@@ -189,7 +217,7 @@ def principal_subspace(H, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD) ->
     """
     if not 0.0 < energy_threshold <= 1.0:
         raise InputError(f"energy_threshold must be in (0, 1], got {energy_threshold}")
-    centered, mean, vals, vecs = _centered_eigh(H, vectors=True)
+    centered, mean, vals, vecs = _centered_eigh(validate_trajectory(H), vectors=True)
     T, d = centered.shape
     if T < 2:
         raise InputError("principal subspace needs at least 2 rows")

@@ -325,6 +325,9 @@ class TestMalformedInput:
         '{"correct": true, "norm_rank": "abc"}',
         '{"correct": true, "norm_rank": null}',
         '{"correct": true, "norm_rank": [0.5]}',
+        '{"correct": true, "norm_rank": true}',
+        '{"correct": true, "norm_rank": false}',
+        '{"correct": true, "norm_rank": "0.5"}',
         '{"correct": "false", "norm_rank": 0.5}',
         '{"correct": "true", "norm_rank": 0.5}',
         '{"correct": null, "norm_rank": 0.5}',
@@ -359,6 +362,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", "abc"), ("train_seed", "abc"), ("train_seed", None), ("alpha", [1]),
+        ("train_seed", 1.9), ("train_seed", True), ("alpha", True), ("alpha", False),
+        ("alpha", float("inf")), ("alpha", float("nan")),
     ])
     def test_report_non_numeric_config_value(self, capsys, tmp_path, key, value):
         out_dir, config_path, _ = self.write_run(tmp_path, capsys)
@@ -369,6 +374,15 @@ class TestMalformedInput:
         assert code == 1
         assert err.startswith("error [input]:")
         assert config_path.name in err
+
+    def test_report_accepts_integral_float_seed(self, capsys, tmp_path):
+        out_dir, config_path, _ = self.write_run(tmp_path, capsys)
+        config = json.loads(config_path.read_text())
+        config["train_seed"] = 4.0
+        config_path.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "report", "--runs", str(out_dir))
+        assert code == 0
+        assert out.splitlines()[1].split(",")[1] == "4"
 
     def test_report_unparseable_trace_number(self, capsys, tmp_path):
         out_dir, _, trace_path = self.write_run(tmp_path, capsys)

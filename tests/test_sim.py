@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,6 +19,7 @@ from rankshape import (
     grpo_objective,
     policy_gradient,
     rollout,
+    sample_group,
     temperature_sweep,
     train,
     weighted_log_prob,
@@ -161,6 +165,57 @@ class TestRollout:
             rollout(PolicyParams(np.zeros(env.vocab + 1)), env, 0)
 
 
+def reference_rollout(policy, env, seed):
+    """One rollout by the per-step loop: (tokens, states, correct)."""
+    rng = np.random.default_rng(seed)
+    tokens = rng.choice(env.vocab, size=env.horizon, p=policy.probs())
+    states = np.empty((env.horizon, env.d))
+    h = np.zeros(env.d)
+    for t, a in enumerate(tokens):
+        h = env.decay * h + env.directions[a]
+        states[t] = h
+    final = states[-1]
+    norm = float(np.linalg.norm(final))
+    correct = norm > 0.0 and float(final @ env.u_star) / norm >= env.tau
+    return tokens, states, bool(correct)
+
+
+class TestSampleGroup:
+    @pytest.mark.parametrize("env_seed, kind, group", [
+        (0, "biased", 8), (1, "random", 64), (2, "null", 4), (3, "random", 1),
+    ])
+    def test_equals_separate_rollouts(self, env_seed, kind, group):
+        env = build_env(env_seed)
+        if kind == "biased":
+            policy = biased_init(env)
+        elif kind == "null":
+            policy = pinned_policy(env, int(env.null_token_ids[0]))
+        else:
+            policy = PolicyParams(np.random.default_rng(env_seed).normal(size=env.vocab))
+        seeds = [np.random.SeedSequence([5, env_seed, i]) for i in range(group)]
+        tokens, states, correct, log_prob = sample_group(policy, env, seeds)
+        assert tokens.shape == (group, env.horizon)
+        assert states.shape == (group, env.horizon, env.d)
+        for i, seed in enumerate(seeds):
+            ref_tokens, ref_states, ref_correct = reference_rollout(policy, env, seed)
+            npt.assert_array_equal(tokens[i], ref_tokens)
+            npt.assert_array_equal(states[i], ref_states)
+            assert bool(correct[i]) == ref_correct
+            assert abs(log_prob[i] - np.log(policy.probs())[ref_tokens].sum()) < 1e-12
+        if kind == "random" and group > 1:
+            assert 0 < int(correct.sum()) < group
+
+    def test_rollout_is_group_of_one(self):
+        env = build_env(4)
+        policy = biased_init(env)
+        r = rollout(policy, env, 9)
+        tokens, states, correct, log_prob = sample_group(policy, env, [9])
+        npt.assert_array_equal(r.tokens, tokens[0])
+        npt.assert_array_equal(r.states, states[0])
+        assert r.correct is bool(correct[0])
+        assert r.log_prob == log_prob[0]
+
+
 class TestPolicyGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -244,6 +299,26 @@ class TestTrain:
             train(env, init, alpha=0.0, iterations=0)
         with pytest.raises(InputError):
             train(env, init, alpha=0.0, seed=-2)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_train.json").read_text())
+
+
+class TestTrainGolden:
+    """Short runs recorded with the per-rollout train loop, before the group step."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_matches_recorded_run(self, name):
+        rec = GOLDEN[name]
+        windowing = {key: rec[key] for key in ("window", "stride") if key in rec}
+        env = build_env(rec["env_seed"])
+        trace = train(env, biased_init(env), alpha=rec["alpha"], iterations=rec["iterations"],
+                      seed=rec["seed"], **windowing)
+        npt.assert_allclose(trace.mean_windowed_erank, rec["mean_windowed_erank"],
+                            rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(trace.success_rate, rec["success_rate"], rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(trace.final_policy.logits, rec["final_logits"],
+                            rtol=1e-12, atol=1e-12)
 
 
 class TestSimTraceCsv:

@@ -12,6 +12,7 @@ from rankshape import (
     covariance_spectrum,
     effective_rank,
     erank_or_floor,
+    erank_stack,
     principal_subspace,
     spectral_entropy,
     validate_trajectory,
@@ -162,6 +163,22 @@ class TestEntropyAndRank:
         assert erank_or_floor(covariance_spectrum(np.ones((5, 3)))) == 1.0
         s = Spectrum(np.array([0.5, 0.25, 0.25]))
         assert erank_or_floor(s) == effective_rank(s)
+
+    def test_erank_stack_matches_each_trajectory(self):
+        # Rows of very different scale: each must be floored against its own
+        # largest eigenvalue, not the stack's.
+        rng = np.random.default_rng(6)
+        for T, d in ((12, 5), (5, 12)):
+            stack = rng.normal(size=(2, 3, T, d))
+            stack[0, 1] *= 1e8
+            stack[1, 2] *= 1e-8
+            stack[1, 0] = stack[1, 0, 0]
+            eranks = erank_stack(stack)
+            assert eranks.shape == (2, 3)
+            assert eranks[1, 0] == 1.0
+            for index in np.ndindex(2, 3):
+                expected = erank_or_floor(covariance_spectrum(stack[index]))
+                assert abs(eranks[index] - expected) <= 1e-12
 
     def test_bounds_on_random_trajectories(self):
         rng = np.random.default_rng(5)

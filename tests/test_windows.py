@@ -8,7 +8,10 @@ from rankshape import (
     WindowRankProfile,
     covariance_spectrum,
     effective_rank,
+    erank_or_floor,
+    erank_stack,
     norm_rank,
+    stacked_min_effrank,
     window_starts,
     windowed_min_effrank,
 )
@@ -114,3 +117,72 @@ class TestNormRank:
         profile = windowed_min_effrank(rng.normal(size=(100, 8)), width=32, stride=8)
         value = norm_rank(profile)
         assert 0.0 <= value <= 1.0
+
+
+def _zero_variance_stack(rng):
+    """Three 20 x 5 trajectories; the second is constant over steps 4..13."""
+    states = rng.normal(size=(3, 20, 5))
+    states[1, 4:14] = states[1, 4]
+    return states
+
+
+# (label, T, d, width, stride): the window layouts the stacked path must score
+# exactly as windowed_min_effrank does.
+STACK_CASES = [
+    ("single_window", 10, 6, 64, 16),
+    ("strided_flushed", 20, 5, 8, 5),
+    ("gram_path", 12, 16, 6, 3),
+    ("zero_variance", 20, 5, 10, 2),
+]
+
+
+class TestStackedMinEffrank:
+    @pytest.fixture(params=STACK_CASES, ids=[case[0] for case in STACK_CASES])
+    def case(self, request):
+        label, T, d, width, stride = request.param
+        rng = np.random.default_rng(len(label))
+        if label == "zero_variance":
+            return _zero_variance_stack(rng), width, stride
+        return rng.normal(size=(3, T, d)), width, stride
+
+    def test_each_window_matches_covariance_spectrum(self, case):
+        states, width, stride = case
+        T = states.shape[1]
+        starts = window_starts(T, width, stride)
+        rows = np.asarray(starts)[:, None] + np.arange(min(width, T))
+        stacked = erank_stack(states[:, rows])
+        assert stacked.shape == (3, len(starts))
+        for g, H in enumerate(states):
+            for w, start in enumerate(starts):
+                expected = erank_or_floor(covariance_spectrum(H[start:start + width]))
+                assert abs(stacked[g, w] - expected) <= 1e-12
+
+    def test_matches_windowed_min_effrank_and_norm_rank(self, case):
+        states, width, stride = case
+        min_erank, ranks = stacked_min_effrank(states, width, stride)
+        for g, H in enumerate(states):
+            profile = windowed_min_effrank(H, width, stride)
+            assert abs(min_erank[g] - profile.min_erank) <= 1e-12
+            assert abs(ranks[g] - norm_rank(profile)) <= 1e-12
+
+    def test_layouts(self):
+        assert window_starts(10, 64, 16) == [0]
+        assert window_starts(20, 8, 5) == [0, 5, 10, 12]
+        assert window_starts(12, 6, 3) == [0, 3, 6]
+
+    def test_zero_variance_window_scores_one(self):
+        states = _zero_variance_stack(np.random.default_rng(0))
+        rows = np.arange(4, 14)
+        assert erank_stack(states[:, rows])[1] == 1.0
+        min_erank, ranks = stacked_min_effrank(states, 10, 2)
+        assert min_erank[1] == 1.0 and ranks[1] == 0.0
+        assert min_erank[0] > 1.0
+
+    def test_bad_arguments_rejected(self):
+        states = np.random.default_rng(1).normal(size=(2, 20, 4))
+        with pytest.raises(InputError):
+            stacked_min_effrank(states, width=1)
+        with pytest.raises(InputError):
+            stacked_min_effrank(states, width=8, stride=0)
+        with pytest.raises(TrajectoryTooShortError):
+            stacked_min_effrank(states[:, :1], width=8)
