@@ -146,7 +146,7 @@ def cmd_reward(args) -> int:
     for lineno, line in _numbered_lines(args.records):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"record line {lineno} is not valid JSON: {exc}") from None
         if not isinstance(record, dict) or "correct" not in record or "norm_rank" not in record:
             raise InputError(f"record line {lineno} needs fields correct and norm_rank")
@@ -254,7 +254,7 @@ def cmd_report(args) -> int:
     for config_path in sorted(runs.glob("*.json")):
         try:
             config = json.loads("".join(text_lines(config_path)))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"malformed config JSON {config_path}: {exc}") from None
         if not isinstance(config, dict) or "alpha" not in config or "train_seed" not in config:
             continue

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import struct
 import typing
 from pathlib import Path
@@ -68,25 +69,32 @@ def read_trajectory_with_metadata(path) -> tuple[np.ndarray, dict | None]:
 
 
 def _read_hstb(path: Path) -> tuple[np.ndarray, dict | None]:
-    blob = path.read_bytes()
-    if len(blob) < 4 or blob[:4] != MAGIC:
-        raise FileFormatError("bad_magic", f"bad magic: not an HSTB file: {path}")
-    if len(blob) < _HEADER.size:
-        raise FileFormatError("truncated_payload", f"truncated header: {path}")
-    _, version, rows, cols = _HEADER.unpack_from(blob)
-    if version != VERSION:
-        raise FileFormatError("bad_version", f"unsupported HSTB version {version}")
-    if rows < 1 or cols < 1:
-        raise FileFormatError("dimension_mismatch", f"invalid dimensions {rows}x{cols}")
-    need = rows * cols * 4
-    body = blob[_HEADER.size:]
-    if len(body) < need:
-        raise FileFormatError(
-            "truncated_payload",
-            f"truncated payload: need {need} bytes for {rows}x{cols}, have {len(body)}")
-    values = np.frombuffer(body[:need], dtype="<f4").reshape(rows, cols).astype(np.float64)
+    """Read an HSTB file in one pass: header, then the float32 payload
+    straight into its array (sized against the file length first), then
+    the metadata block."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < 4 or header[:4] != MAGIC:
+            raise FileFormatError("bad_magic", f"bad magic: not an HSTB file: {path}")
+        if len(header) < _HEADER.size:
+            raise FileFormatError("truncated_payload", f"truncated header: {path}")
+        _, version, rows, cols = _HEADER.unpack(header)
+        if version != VERSION:
+            raise FileFormatError("bad_version", f"unsupported HSTB version {version}")
+        if rows < 1 or cols < 1:
+            raise FileFormatError("dimension_mismatch", f"invalid dimensions {rows}x{cols}")
+        need = rows * cols * 4
+        have = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if have >= need:
+            payload = np.empty((rows, cols), dtype="<f4")
+            # The count actually read, in case the file shrank since fstat.
+            have = fh.readinto(memoryview(payload).cast("B"))
+        if have < need:
+            raise FileFormatError(
+                "truncated_payload",
+                f"truncated payload: need {need} bytes for {rows}x{cols}, have {have}")
+        rest = fh.read()
     metadata = None
-    rest = body[need:]
     if rest:
         if len(rest) < 4:
             raise FileFormatError("truncated_payload", "truncated metadata length field")
@@ -97,12 +105,12 @@ def _read_hstb(path: Path) -> tuple[np.ndarray, dict | None]:
             raise FileFormatError("trailing_data", "unexpected bytes after metadata block")
         try:
             metadata = json.loads(rest[4:4 + meta_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise FileFormatError("bad_metadata", f"metadata is not valid JSON: {exc}") from None
-    if not np.all(np.isfinite(values)):
-        r, c = np.argwhere(~np.isfinite(values))[0]
+    if not np.isfinite(payload).all():
+        r, c = np.argwhere(~np.isfinite(payload))[0]
         raise FileFormatError("non_finite_value", f"non-finite value at row {r}, column {c}")
-    return values, metadata
+    return payload.astype(np.float64), metadata
 
 
 def text_lines(path):

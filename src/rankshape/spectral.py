@@ -118,13 +118,19 @@ def _centered_eigh(H: np.ndarray, method: str = "auto", vectors: bool = False):
         M = centered_t @ centered / T
     else:
         raise InputError(f"unknown spectrum method {method!r}")
-    m = min(T, d)
+    return (centered, mean) + _top_eigen(M, min(T, d), vectors)
+
+
+def _top_eigen(M: np.ndarray, m: int, vectors: bool = False):
+    """The m largest eigenvalues of each symmetric matrix in the (..., n, n)
+    stack M, descending and cleaned, with their eigenvectors as columns
+    (None without ``vectors``)."""
     if vectors:
         vals, vecs = np.linalg.eigh(M)
         vecs = vecs[..., ::-1][..., :m]
     else:
         vals, vecs = np.linalg.eigvalsh(M), None
-    return centered, mean, _cleanup(vals[..., ::-1][..., :m]), vecs
+    return _cleanup(vals[..., ::-1][..., :m]), vecs
 
 
 def covariance_spectrum(H, method: str = "auto") -> Spectrum:
@@ -172,8 +178,8 @@ def erank_stack(H: np.ndarray) -> np.ndarray:
     """erank_or_floor of the covariance spectrum of each trajectory in a
     (..., T, d) float64 stack, from one stacked eigensolve.
 
-    The stack is trusted to be finite, as the simulator builds it; a single
-    outside trajectory goes through covariance_spectrum instead.
+    The stack is trusted to be finite: the simulator builds it, and
+    windowed_min_effrank validates its trajectory before slicing windows.
     """
     return _erank_rows(_centered_eigh(H)[2])
 

@@ -12,10 +12,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NormalizationError, TrajectoryTooShortError
-from .spectral import covariance_spectrum, erank_or_floor, erank_stack, validate_trajectory
+# covariance_spectrum is not called here, but perfbench/spans.py traces it
+# under rankshape.windows, so the name must keep resolving in this module.
+from .spectral import (  # noqa: F401
+    _erank_rows,
+    _top_eigen,
+    covariance_spectrum,
+    erank_stack,
+    validate_trajectory,
+)
 
 DEFAULT_WIDTH = 64
 DEFAULT_STRIDE = 16
+
+# Largest ratio of a window's energy about its block's mean to its energy
+# about its own mean that the shared block Gram may score (_window_eranks).
+# Its rounding error grows with the ratio: on a 512 x 256 drift-plus-noise
+# trajectory it was 2e-13 at a ratio of 100 and 3e-12 at 3e4.
+BLOCK_SHIFT_RATIO = 16.0
 
 
 @dataclass(frozen=True)
@@ -78,14 +92,51 @@ def windowed_min_effrank(H, width: int = DEFAULT_WIDTH, stride: int = DEFAULT_ST
     T, d = H.shape
     _check_window(T, width, stride)
     starts = window_starts(T, width, stride)
-    eranks = [erank_or_floor(covariance_spectrum(H[start:start + width])) for start in starts]
     return WindowRankProfile(
         window_width=width,
         stride=stride,
         starts=tuple(starts),
-        per_window_erank=tuple(eranks),
+        per_window_erank=tuple(_window_eranks(H, np.asarray(starts), min(width, T)).tolist()),
         r_max=_r_max(width, d),
     )
+
+
+def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
+    """erank_or_floor(covariance_spectrum(H[s:s + w])) for each start s.
+
+    The starts go in blocks that span w offsets, so a block's rows
+    H[b0:last + w] number fewer than 2w and its windows are scored
+    together. When w < d, one Gram product of the block's rows, shifted by
+    their own mean, holds every window's Gram; each w x w slice is
+    double-centred (J G J / w) and the block's slices share one stacked
+    eigensolve. The product rounds at the scale of the shifted rows, so a
+    window whose shifted energy exceeds its centred energy by more than
+    BLOCK_SHIFT_RATIO (a quiet stretch beside busy rows, or a constant
+    window) is scored from its own centred rows instead, through
+    erank_stack, as every window is when w >= d.
+    """
+    d = H.shape[1]
+    eranks = np.empty(len(starts))
+    offsets = np.arange(w)
+    i = 0
+    while i < len(starts):
+        j = int(np.searchsorted(starts, starts[i] + w))
+        b0, block = starts[i], starts[i:j] - starts[i]
+        rows = block[:, None] + offsets
+        own = np.ones(len(block), dtype=bool)
+        if w < d:
+            Y = H[b0:b0 + block[-1] + w]
+            Y = Y - Y.mean(axis=0)
+            G = (Y @ Y.T)[rows[:, :, None], rows[:, None, :]]
+            shifted = np.trace(G, axis1=-2, axis2=-1)
+            G -= G.mean(axis=-1, keepdims=True)
+            G -= G.mean(axis=-2, keepdims=True)
+            own = shifted > BLOCK_SHIFT_RATIO * np.trace(G, axis1=-2, axis2=-1)
+            eranks[i:j] = _erank_rows(_top_eigen(G / w, w)[0])
+        if own.any():
+            eranks[i + np.flatnonzero(own)] = erank_stack(H[b0 + rows[own]])
+        i = j
+    return eranks
 
 
 def stacked_min_effrank(states: np.ndarray, width: int = DEFAULT_WIDTH,

@@ -320,6 +320,10 @@ class TestArgumentErrors:
         assert code == 1
 
 
+# Deeper than json.loads can recurse.
+DEEPLY_NESTED = "[" * 200_000
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("record", [
         '{"correct": true, "norm_rank": "abc"}',
@@ -332,6 +336,7 @@ class TestMalformedInput:
         '{"correct": "true", "norm_rank": 0.5}',
         '{"correct": null, "norm_rank": 0.5}',
         '{"correct": 2, "norm_rank": 0.5}',
+        pytest.param(DEEPLY_NESTED, id="deeply_nested"),
     ])
     def test_reward_rejects_bad_field(self, capsys, tmp_path, record):
         path = tmp_path / "records.jsonl"
@@ -364,12 +369,14 @@ class TestMalformedInput:
         ("alpha", "abc"), ("train_seed", "abc"), ("train_seed", None), ("alpha", [1]),
         ("train_seed", 1.9), ("train_seed", True), ("alpha", True), ("alpha", False),
         ("alpha", float("inf")), ("alpha", float("nan")),
+        pytest.param("alpha", DEEPLY_NESTED, id="alpha-deeply_nested"),
     ])
     def test_report_non_numeric_config_value(self, capsys, tmp_path, key, value):
         out_dir, config_path, _ = self.write_run(tmp_path, capsys)
         config = json.loads(config_path.read_text())
         config[key] = value
-        config_path.write_text(json.dumps(config))
+        # DEEPLY_NESTED goes in as raw JSON, not as a string.
+        config_path.write_text(json.dumps(config).replace(json.dumps(DEEPLY_NESTED), DEEPLY_NESTED))
         code, _, err = run_cli(capsys, "report", "--runs", str(out_dir))
         assert code == 1
         assert err.startswith("error [input]:")

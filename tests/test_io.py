@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -104,6 +105,22 @@ class TestHstbErrors:
         blob = self.good_blob() + struct.pack("<I", 2) + b'{}x'
         self.expect_code(tmp_path, blob, "trailing_data")
 
+    @pytest.mark.parametrize("meta", [b"{oops", b"\xff\xfe", b"[" * 200_000],
+                             ids=["invalid_json", "not_utf8", "deeply_nested"])
+    def test_bad_metadata(self, tmp_path, meta):
+        blob = self.good_blob() + struct.pack("<I", len(meta)) + meta
+        self.expect_code(tmp_path, blob, "bad_metadata")
+
+    def test_huge_dimensions_checked_before_allocating(self, tmp_path):
+        blob = struct.pack("<4sIII", MAGIC, VERSION, 2**32 - 1, 2**32 - 1) + b"\x00" * 16
+        path = self.write_raw(tmp_path, blob)
+        with pytest.raises(FileFormatError) as info:
+            read_trajectory(path)
+        assert info.value.code == "truncated_payload"
+        need = (2**32 - 1) ** 2 * 4
+        assert str(info.value) == (
+            f"truncated payload: need {need} bytes for 4294967295x4294967295, have 16")
+
     def test_non_finite_payload(self, tmp_path):
         payload = np.array([[1.0, np.inf]], dtype="<f4")
         blob = struct.pack("<4sIII", MAGIC, VERSION, 1, 2) + payload.tobytes()
@@ -112,6 +129,20 @@ class TestHstbErrors:
     def test_missing_file(self):
         with pytest.raises(InputError):
             read_trajectory("/nonexistent/traj.hstb")
+
+
+def test_hstb_read_allocates_little_beyond_its_result(tmp_path):
+    """One float32 payload array and the float64 result; no whole-file
+    byte copies on the way."""
+    path = tmp_path / "big.hstb"
+    write_trajectory(path, f32(np.random.default_rng(0).normal(size=(1024, 1024))))
+    tracemalloc.start()
+    try:
+        H = read_trajectory(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * H.nbytes + 2**20
 
 
 class TestCsvTrajectories:

@@ -38,6 +38,33 @@ class TestWindowStarts:
         assert starts == list(range(13))
 
 
+# (label, T, d, width, stride): layouts whose windows must each score as
+# erank_or_floor(covariance_spectrum(window)) does.
+ORACLE_CASES = [
+    ("llm_like", 512, 256, 64, 16),
+    ("flushed_last_window", 300, 128, 50, 7),
+    ("shorter_than_width", 40, 100, 64, 16),
+    ("stride_above_width", 200, 96, 20, 30),
+    ("covariance_blocks", 300, 16, 32, 3),
+    ("quiet_stretch", 512, 256, 64, 16),
+]
+
+
+def _oracle_trajectory(label, T, d):
+    rng = np.random.default_rng(len(label))
+    H = rng.normal(size=(T, d))
+    if label in ("llm_like", "quiet_stretch"):
+        # Hidden-state-like: a few massive coordinates and a low-rank drift.
+        H[:, :4] += rng.choice([-300.0, 300.0], size=4)
+        H += np.cumsum(rng.normal(size=(T, 4)), axis=0) @ rng.normal(size=(4, d))
+    if label == "llm_like":
+        H = H.astype(np.float32).astype(np.float64)
+    if label == "quiet_stretch":
+        # Near-collapse: three widths that barely move, between busy rows.
+        H[200:392] = H[200] + 1e-5 * rng.normal(size=(192, d))
+    return H
+
+
 class TestWindowedMinEffrank:
     def test_single_window_matches_full_erank(self):
         rng = np.random.default_rng(0)
@@ -78,6 +105,28 @@ class TestWindowedMinEffrank:
         extended = windowed_min_effrank(H, width=64, stride=16)
         assert set(prefix.starts) <= set(extended.starts)
         assert extended.min_erank <= prefix.min_erank + 1e-12
+
+    @pytest.mark.parametrize("label, T, d, width, stride", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    def test_each_window_matches_covariance_spectrum(self, label, T, d, width, stride):
+        H = _oracle_trajectory(label, T, d)
+        profile = windowed_min_effrank(H, width, stride)
+        assert profile.starts == tuple(window_starts(T, width, stride))
+        for start, erank in zip(profile.starts, profile.per_window_erank):
+            expected = erank_or_floor(covariance_spectrum(H[start:start + width]))
+            assert abs(erank - expected) <= 1e-12
+
+    def test_constant_window_among_moving_rows_scores_one(self):
+        # Non-dyadic values: the block's mean does not reproduce them
+        # exactly, so only an exact test for equal rows gives 1.0.
+        H = np.random.default_rng(7).normal(size=(200, 96))
+        H[40:120] = H[40]
+        profile = windowed_min_effrank(H, width=30, stride=8)
+        inside = [e for s, e in zip(profile.starts, profile.per_window_erank)
+                  if 40 <= s and s + 30 <= 120]
+        assert len(inside) == 7
+        assert all(e == 1.0 for e in inside)
+        assert profile.per_window_erank[0] > 1.0
 
     def test_too_short_rejected(self):
         with pytest.raises(TrajectoryTooShortError):
