@@ -202,6 +202,8 @@ def cmd_fit_decouple(args) -> int:
 
 
 def cmd_soe_select(args) -> int:
+    if args.prefix < 0:
+        raise InputError(f"--prefix must be >= 0, got {args.prefix}")
     states = read_trajectory(args.basis)
     probe_rows = read_trajectory(args.probes)
     basis = lookahead_manifold(states, args.energy)
@@ -233,12 +235,15 @@ def cmd_simulate(args) -> int:
                   iterations=cfg.iterations, learning_rate=cfg.learning_rate,
                   seed=cfg.train_seed, window=cfg.window, stride=cfg.stride)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stem = (f"{cfg.label}_" if cfg.label else "") + f"alpha{cfg.alpha:g}_seed{cfg.train_seed}"
     trace_path = out / f"{stem}.csv"
     config_path = out / f"{stem}.json"
-    trace.to_csv(trace_path)
-    config_path.write_text(trace.config_json(), encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        trace.to_csv(trace_path)
+        config_path.write_text(trace.config_json(), encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename or out}: {exc.strerror}") from None
     if cfg.verbose:
         print(f"final: erank={trace.mean_windowed_erank[-1]:.4f} "
               f"success={trace.success_rate[-1]:.4f}", file=sys.stderr)

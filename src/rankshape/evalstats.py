@@ -20,6 +20,7 @@ from .errors import (
     SeparableDataError,
 )
 from .io import text_lines
+from .spectral import entropy_rows
 
 DECOUPLING_CSV_HEADER = ("eff_rank", "entropy", "correct")
 
@@ -94,8 +95,7 @@ def mean_token_entropy(step_distributions) -> float:
             raise InputError(f"malformed distribution at step {i}")
         if abs(p.sum() - 1.0) > 1e-9:
             raise InputError(f"malformed distribution at step {i}: sums to {p.sum():.12g}")
-        q = p[p > 0.0]
-        entropies.append(float(-(q * np.log(q)).sum()))
+        entropies.append(float(entropy_rows(p)))
     return float(np.mean(entropies))
 
 

@@ -138,9 +138,8 @@ def orthogonality_score(probe, basis: ManifoldBasis) -> float:
         raise InputError(f"probe must be a {basis.dim}-vector, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise InputError("probe contains non-finite values")
-    centered = z - basis.mean
-    residual = centered - basis.directions @ (basis.directions.T @ centered)
-    return float(np.linalg.norm(residual) / (np.linalg.norm(centered) + DEFAULT_EPS))
+    residual = basis.project_out(z)
+    return float(np.linalg.norm(residual) / (np.linalg.norm(z - basis.mean) + DEFAULT_EPS))
 
 
 def select_probe(probes: ProbeSet, basis: ManifoldBasis) -> ProbeChoice:

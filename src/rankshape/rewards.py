@@ -38,8 +38,8 @@ class RolloutOutcome:
 def gated_rewards(correct, norm_rank, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Correctness gate times (1 + alpha * norm_rank), elementwise over arrays
     of verdicts and rank scores; incorrect is exactly 0.0."""
-    if alpha < 0.0:
-        raise InputError(f"alpha must be >= 0, got {alpha}")
+    if not (np.isfinite(alpha) and alpha >= 0.0):
+        raise InputError(f"alpha must be finite and >= 0, got {alpha}")
     return np.where(correct, 1.0 + alpha * np.asarray(norm_rank, dtype=np.float64), 0.0)
 
 

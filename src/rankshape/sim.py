@@ -26,7 +26,7 @@ from .io import text_lines
 # perfbench/spans.py traces them under rankshape.sim, so the names must
 # keep resolving in this module.
 from .rewards import DEFAULT_GROUP_SIZE, gated_rewards, group_advantages, total_reward  # noqa: F401
-from .spectral import erank_stack
+from .spectral import entropy_rows, erank_stack
 from .windows import (  # noqa: F401
     DEFAULT_STRIDE,
     DEFAULT_WIDTH,
@@ -165,9 +165,7 @@ class PolicyParams:
         return _softmax(self.scale * self.logits)
 
     def entropy(self) -> float:
-        p = self.probs()
-        p = p[p > 0.0]
-        return float(-(p * np.log(p)).sum())
+        return float(entropy_rows(self.probs()))
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(logits=self.logits.copy(), scale=self.scale)
@@ -329,8 +327,8 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     group, and ascends the advantage-weighted log-probability. No KL term,
     no clipping, no baseline beyond the group mean.
     """
-    if alpha < 0.0:
-        raise InputError(f"alpha must be >= 0, got {alpha}")
+    if not (np.isfinite(alpha) and alpha >= 0.0):
+        raise InputError(f"alpha must be finite and >= 0, got {alpha}")
     if group_size < 2:
         raise GroupSizeError(f"group too small: need at least 2 rollouts, got {group_size}")
     if iterations < 1:

@@ -144,15 +144,19 @@ def covariance_spectrum(H, method: str = "auto") -> Spectrum:
     return Spectrum(vals, mean)
 
 
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy (nats) -sum p ln p of each row of the (..., m)
+    distributions p; zero entries contribute nothing (the p ln p -> 0 limit)."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
 def spectral_entropy(spectrum: Spectrum) -> float:
     """Shannon entropy (nats) of the normalized eigenvalue distribution.
 
     Zero eigenvalues contribute nothing (the p ln p -> 0 limit), so the
     value lies in [0, ln(#nonzero)].
     """
-    p = spectrum.probs
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
+    return float(entropy_rows(spectrum.probs))
 
 
 def effective_rank(spectrum: Spectrum) -> float:
@@ -165,8 +169,7 @@ def _erank_rows(vals: np.ndarray) -> np.ndarray:
     floor 1.0 for a zero-mass (fully collapsed) row."""
     total = vals.sum(axis=-1, keepdims=True)
     p = vals / np.where(total > 0.0, total, 1.0)
-    plogp = p * np.log(np.where(p > 0.0, p, 1.0))
-    return np.where(total[..., 0] > 0.0, np.exp(-plogp.sum(axis=-1)), 1.0)
+    return np.where(total[..., 0] > 0.0, np.exp(entropy_rows(p)), 1.0)
 
 
 def erank_or_floor(spectrum: Spectrum) -> float:
@@ -244,7 +247,4 @@ def confinement_ratio(spectrum: Spectrum, k: int) -> float:
     m = spectrum.eigenvalues.size
     if not 1 <= k <= m:
         raise InputError(f"k must be in [1, {m}], got {k}")
-    total = spectrum.total_mass
-    if total <= 0.0:
-        raise DegenerateSpectrumError("degenerate spectrum: total eigenvalue mass is zero")
-    return float(spectrum.eigenvalues[:k].sum() / total)
+    return float(spectrum.probs[:k].sum())

@@ -62,24 +62,25 @@ def window_starts(T: int, width: int, stride: int) -> list[int]:
     return starts
 
 
-def _check_window(T: int, width: int, stride: int) -> None:
+def _normalize(min_erank, r_max: int):
+    if r_max < 2:
+        raise NormalizationError("normalization degenerate: r_max < 2")
+    return np.clip((min_erank - 1.0) / (r_max - 1.0), 0.0, 1.0)
+
+
+def _score_windows(H: np.ndarray, width: int, stride: int):
+    """Check the window arguments against a (..., T, d) trajectory stack and
+    score its windows: returns (starts, eranks with shape (..., windows),
+    r_max, the normalization ceiling of the width in d dimensions)."""
+    T, d = H.shape[-2:]
     if T < 2:
         raise TrajectoryTooShortError("trajectory too short: need at least 2 steps")
     if width < 2:
         raise InputError(f"window width must be >= 2, got {width}")
     if stride < 1:
         raise InputError(f"stride must be >= 1, got {stride}")
-
-
-def _r_max(width: int, d: int) -> int:
-    """The normalization ceiling of a window width in d dimensions."""
-    return int(min(width, d))
-
-
-def _normalize(min_erank, r_max: int):
-    if r_max < 2:
-        raise NormalizationError("normalization degenerate: r_max < 2")
-    return np.clip((min_erank - 1.0) / (r_max - 1.0), 0.0, 1.0)
+    starts = window_starts(T, width, stride)
+    return starts, _window_eranks(H, np.asarray(starts), min(width, T)), int(min(width, d))
 
 
 def windowed_min_effrank(H, width: int = DEFAULT_WIDTH, stride: int = DEFAULT_STRIDE) -> WindowRankProfile:
@@ -88,53 +89,51 @@ def windowed_min_effrank(H, width: int = DEFAULT_WIDTH, stride: int = DEFAULT_ST
     A zero-variance window is maximal collapse and contributes the floor
     value 1.0 rather than raising.
     """
-    H = validate_trajectory(H)
-    T, d = H.shape
-    _check_window(T, width, stride)
-    starts = window_starts(T, width, stride)
+    starts, eranks, r_max = _score_windows(validate_trajectory(H), width, stride)
     return WindowRankProfile(
         window_width=width,
         stride=stride,
         starts=tuple(starts),
-        per_window_erank=tuple(_window_eranks(H, np.asarray(starts), min(width, T)).tolist()),
-        r_max=_r_max(width, d),
+        per_window_erank=tuple(eranks.tolist()),
+        r_max=r_max,
     )
 
 
 def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
-    """erank_or_floor(covariance_spectrum(H[s:s + w])) for each start s.
+    """erank_or_floor(covariance_spectrum(H[..., s:s + w, :])) for each start
+    s and each trajectory of the (..., T, d) stack H.
 
     The starts go in blocks that span w offsets, so a block's rows
-    H[b0:last + w] number fewer than 2w and its windows are scored
+    H[..., b0:last + w, :] number fewer than 2w and its windows are scored
     together. When w < d, one Gram product of the block's rows, shifted by
     their own mean, holds every window's Gram; each w x w slice is
     double-centred (J G J / w) and the block's slices share one stacked
     eigensolve. The product rounds at the scale of the shifted rows, so a
-    window whose shifted energy exceeds its centred energy by more than
-    BLOCK_SHIFT_RATIO (a quiet stretch beside busy rows, or a constant
-    window) is scored from its own centred rows instead, through
-    erank_stack, as every window is when w >= d.
+    block with any window whose shifted energy exceeds its centred energy
+    by more than BLOCK_SHIFT_RATIO (a quiet stretch beside busy rows, or a
+    constant window) is scored from each window's own centred rows instead,
+    through erank_stack, as every block is when w >= d.
     """
-    d = H.shape[1]
-    eranks = np.empty(len(starts))
+    eranks = np.empty(H.shape[:-2] + (len(starts),))
     offsets = np.arange(w)
     i = 0
     while i < len(starts):
         j = int(np.searchsorted(starts, starts[i] + w))
         b0, block = starts[i], starts[i:j] - starts[i]
         rows = block[:, None] + offsets
-        own = np.ones(len(block), dtype=bool)
-        if w < d:
-            Y = H[b0:b0 + block[-1] + w]
-            Y = Y - Y.mean(axis=0)
-            G = (Y @ Y.T)[rows[:, :, None], rows[:, None, :]]
+        own_rows = w >= H.shape[-1]
+        if not own_rows:
+            Y = H[..., b0:b0 + block[-1] + w, :]
+            Y = Y - Y.mean(axis=-2, keepdims=True)
+            G = (Y @ np.swapaxes(Y, -1, -2))[..., rows[:, :, None], rows[:, None, :]]
             shifted = np.trace(G, axis1=-2, axis2=-1)
             G -= G.mean(axis=-1, keepdims=True)
             G -= G.mean(axis=-2, keepdims=True)
-            own = shifted > BLOCK_SHIFT_RATIO * np.trace(G, axis1=-2, axis2=-1)
-            eranks[i:j] = _erank_rows(_top_eigen(G / w, w)[0])
-        if own.any():
-            eranks[i + np.flatnonzero(own)] = erank_stack(H[b0 + rows[own]])
+            own_rows = np.any(shifted > BLOCK_SHIFT_RATIO * np.trace(G, axis1=-2, axis2=-1))
+        if own_rows:
+            eranks[..., i:j] = erank_stack(H[..., b0 + rows, :])
+        else:
+            eranks[..., i:j] = _erank_rows(_top_eigen(G / w, w)[0])
         i = j
     return eranks
 
@@ -143,17 +142,14 @@ def stacked_min_effrank(states: np.ndarray, width: int = DEFAULT_WIDTH,
                         stride: int = DEFAULT_STRIDE) -> tuple[np.ndarray, np.ndarray]:
     """min_erank and norm_rank of each trajectory in a (..., T, d) stack.
 
-    The same windows, zero-variance floor and normalization as
-    windowed_min_effrank followed by norm_rank, but every window of the
-    stack is scored by one stacked eigensolve (erank_stack). The states are
-    trusted to be finite float64, as the simulator builds them.
+    The same windows, scorer, zero-variance floor and normalization as
+    windowed_min_effrank followed by norm_rank, over the whole stack at
+    once. The states are trusted to be finite float64, as the simulator
+    builds them.
     """
-    T, d = states.shape[-2:]
-    _check_window(T, width, stride)
-    starts = np.asarray(window_starts(T, width, stride))
-    rows = starts[:, None] + np.arange(min(width, T))
-    min_erank = erank_stack(states[..., rows, :]).min(axis=-1)
-    return min_erank, _normalize(min_erank, _r_max(width, d))
+    _, eranks, r_max = _score_windows(states, width, stride)
+    min_erank = eranks.min(axis=-1)
+    return min_erank, _normalize(min_erank, r_max)
 
 
 def norm_rank(profile: WindowRankProfile) -> float:

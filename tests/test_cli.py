@@ -382,6 +382,52 @@ class TestMalformedInput:
         assert err.startswith("error [input]:")
         assert config_path.name in err
 
+    @pytest.mark.parametrize("option, argv", [
+        ("alpha", ["reward", "--alpha", "nan"]),
+        ("alpha", ["reward", "--alpha", "inf"]),
+        ("alpha", ["simulate", "--set", "alpha=nan"]),
+        ("prefix", ["soe-select", "--prefix", "-3"]),
+    ], ids=["reward-alpha-nan", "reward-alpha-inf", "simulate-alpha-nan", "soe-select-prefix"])
+    def test_out_of_range_number_is_input_error(self, capsys, tmp_path, option, argv):
+        if argv[0] == "reward":
+            records = tmp_path / "records.jsonl"
+            records.write_text('{"correct": true, "norm_rank": 0.5}\n')
+            argv = argv + [str(records)]
+        elif argv[0] == "simulate":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("iterations = 3\nhorizon = 12\nwindow = 12\n")
+            argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "runs")]
+        else:
+            states = tmp_path / "states.hstb"
+            write_trajectory(states, np.random.default_rng(0).normal(size=(10, 4)))
+            argv = argv + ["--basis", str(states), "--probes", str(states)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error [input]:")
+        assert option in err
+
+    @pytest.mark.parametrize("case", ["label_with_slash", "out_is_a_file", "out_under_a_file"])
+    def test_simulate_unwritable_output_is_input_error(self, capsys, tmp_path, case):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 2\nhorizon = 12\nwindow = 12\n")
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        out, argv = tmp_path / "runs", []
+        if case == "label_with_slash":
+            argv, named = ["--set", "label=a/b"], str(out / "a")
+        elif case == "out_is_a_file":
+            out = named = a_file
+        else:
+            out = a_file / "runs"
+            named = str(out)
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                                    "--out", str(out), *argv)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error [input]:")
+        assert str(named) in err
+
     def test_report_accepts_integral_float_seed(self, capsys, tmp_path):
         out_dir, config_path, _ = self.write_run(tmp_path, capsys)
         config = json.loads(config_path.read_text())

@@ -46,8 +46,9 @@ class TestTotalReward:
         assert best_incorrect < worst_correct
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(InputError):
-            total_reward(RolloutOutcome(True, 0.5), alpha=-0.1)
+        for alpha in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="alpha"):
+                total_reward(RolloutOutcome(True, 0.5), alpha=alpha)
 
 
 class TestGroupAdvantages:

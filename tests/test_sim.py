@@ -293,8 +293,9 @@ class TestTrain:
         init = biased_init(env)
         with pytest.raises(GroupSizeError):
             train(env, init, alpha=0.0, group_size=1)
-        with pytest.raises(InputError):
-            train(env, init, alpha=-0.1)
+        for alpha in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="alpha"):
+                train(env, init, alpha=alpha)
         with pytest.raises(InputError):
             train(env, init, alpha=0.0, iterations=0)
         with pytest.raises(InputError):

@@ -182,7 +182,18 @@ STACK_CASES = [
     ("strided_flushed", 20, 5, 8, 5),
     ("gram_path", 12, 16, 6, 3),
     ("zero_variance", 20, 5, 10, 2),
+    ("quiet_element", 40, 24, 8, 2),
 ]
+
+
+def _quiet_element_stack(rng):
+    """Three 40 x 24 trajectories; the second holds still over steps 12..31
+    but for noise of 1e-6 in two coordinates, so only its windows there
+    trip the block guard of the Gram path (w < d)."""
+    states = rng.normal(size=(3, 40, 24))
+    states[1, 12:32] = states[1, 12]
+    states[1, 12:32, :2] += 1e-6 * rng.normal(size=(20, 2))
+    return states
 
 
 class TestStackedMinEffrank:
@@ -192,6 +203,8 @@ class TestStackedMinEffrank:
         rng = np.random.default_rng(len(label))
         if label == "zero_variance":
             return _zero_variance_stack(rng), width, stride
+        if label == "quiet_element":
+            return _quiet_element_stack(rng), width, stride
         return rng.normal(size=(3, T, d)), width, stride
 
     def test_each_window_matches_covariance_spectrum(self, case):
@@ -213,6 +226,9 @@ class TestStackedMinEffrank:
             profile = windowed_min_effrank(H, width, stride)
             assert abs(min_erank[g] - profile.min_erank) <= 1e-12
             assert abs(ranks[g] - norm_rank(profile)) <= 1e-12
+            oracle = min(erank_or_floor(covariance_spectrum(H[start:start + width]))
+                         for start in profile.starts)
+            assert abs(min_erank[g] - oracle) <= 1e-12
 
     def test_layouts(self):
         assert window_starts(10, 64, 16) == [0]
