@@ -9,8 +9,10 @@ degenerate-data errors. Errors are a single machine-parseable stderr line:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -19,17 +21,11 @@ import numpy as np
 from .errors import InputError, RankshapeError
 from .evalstats import PassCounts, fit_decoupling_logit, load_decoupling_csv, pass_curve
 from .io import apply_overrides, load_run_config, read_trajectory, text_lines
-from .probes import (
-    LOW_OMEGA_THRESHOLD,
-    ProbeSet,
-    StitchPlan,
-    lookahead_manifold,
-    select_probe,
-)
-from .rewards import RolloutOutcome, group_advantages, total_reward
+from .probes import ProbeSet, StitchPlan, lookahead_manifold, select_probe
+from .rewards import DEFAULT_ALPHA, RolloutOutcome, check_alpha, group_advantages, total_reward
 from .sim import SimTrace, biased_init, build_env, train
-from .spectral import covariance_spectrum, effective_rank
-from .windows import norm_rank, windowed_min_effrank
+from .spectral import DEFAULT_ENERGY_THRESHOLD, covariance_spectrum, effective_rank
+from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH, norm_rank, windowed_min_effrank
 
 REPORT_HEADER = "alpha,seed,iterations,final_mean_windowed_erank,final_success_rate"
 
@@ -51,13 +47,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("window-rank", help="windowed effective-rank profile")
     p.add_argument("files", nargs="+")
-    p.add_argument("--w", type=int, default=64, help="window width (default 64)")
-    p.add_argument("--stride", type=int, default=16, help="window stride (default 16)")
+    p.add_argument("--w", type=int, default=DEFAULT_WIDTH,
+                   help="window width (default %(default)s)")
+    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE,
+                   help="window stride (default %(default)s)")
     p.set_defaults(func=cmd_window_rank)
 
     p = sub.add_parser("reward", help="rank-aware rewards for outcome records")
     p.add_argument("records", help="JSONL file with fields correct, norm_rank")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.set_defaults(func=cmd_reward)
 
     p = sub.add_parser("advantage", help="group-standardized advantages")
@@ -77,7 +75,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("soe-select", help="score probes against a look-ahead manifold")
     p.add_argument("--basis", required=True, help="trajectory file of look-ahead states")
     p.add_argument("--probes", required=True, help="trajectory file, one probe vector per row")
-    p.add_argument("--energy", type=float, default=0.9, help="basis energy threshold")
+    p.add_argument("--energy", type=float, default=DEFAULT_ENERGY_THRESHOLD,
+                   help="basis energy threshold")
     p.add_argument("--prefix", type=int, default=0, help="prefix length to record")
     p.add_argument("--query-id", default=None)
     p.set_defaults(func=cmd_soe_select)
@@ -143,6 +142,7 @@ def _json_number(value, integral: bool = False):
 
 
 def cmd_reward(args) -> int:
+    check_alpha(args.alpha)
     for lineno, line in _numbered_lines(args.records):
         try:
             record = json.loads(line)
@@ -207,19 +207,18 @@ def cmd_soe_select(args) -> int:
     states = read_trajectory(args.basis)
     probe_rows = read_trajectory(args.probes)
     basis = lookahead_manifold(states, args.energy)
-    probes = ProbeSet(vectors=probe_rows)
-    choice = select_probe(probes, basis)
-    plan = StitchPlan(
-        prefix_length=args.prefix,
-        probe_index=choice.index,
-        probe_label=choice.label,
-        omega_score=choice.omega,
-        basis_k=basis.k,
-        warning=choice.omega < LOW_OMEGA_THRESHOLD,
-        query_id=args.query_id,
-    )
-    print(plan.to_json())
+    choice = select_probe(ProbeSet(vectors=probe_rows), basis)
+    print(StitchPlan.from_choice(choice, basis, args.prefix, args.query_id).to_json())
     return 0
+
+
+@contextlib.contextmanager
+def _writing(out: Path):
+    """Report an OSError raised while creating or writing output as InputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename or out}: {exc.strerror}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -228,22 +227,23 @@ def cmd_simulate(args) -> int:
                     n_null=cfg.null_tokens, tau=cfg.tau, horizon=cfg.horizon,
                     decay=cfg.decay)
     policy = biased_init(env, cfg.bias_logit)
+    out = Path(args.out)
+    stem = (f"{cfg.label}_" if cfg.label else "") + f"alpha{cfg.alpha:g}_seed{cfg.train_seed}"
+    trace_path = out / f"{stem}.csv"
+    config_path = out / f"{stem}.json"
+    with _writing(out):  # before training, so an unwritable output fails fast
+        out.mkdir(parents=True, exist_ok=True)
+        if not trace_path.parent.is_dir():  # a label holding "/"
+            raise InputError(f"cannot write {trace_path}: no directory {trace_path.parent}")
     if cfg.verbose:
         print(f"training: alpha={cfg.alpha:g} seed={cfg.train_seed} "
               f"iterations={cfg.iterations}", file=sys.stderr)
     trace = train(env, policy, alpha=cfg.alpha, group_size=cfg.group_size,
                   iterations=cfg.iterations, learning_rate=cfg.learning_rate,
                   seed=cfg.train_seed, window=cfg.window, stride=cfg.stride)
-    out = Path(args.out)
-    stem = (f"{cfg.label}_" if cfg.label else "") + f"alpha{cfg.alpha:g}_seed{cfg.train_seed}"
-    trace_path = out / f"{stem}.csv"
-    config_path = out / f"{stem}.json"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
         trace.to_csv(trace_path)
         config_path.write_text(trace.config_json(), encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {exc.filename or out}: {exc.strerror}") from None
     if cfg.verbose:
         print(f"final: erank={trace.mean_windowed_erank[-1]:.4f} "
               f"success={trace.success_rate[-1]:.4f}", file=sys.stderr)
@@ -283,11 +283,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except RankshapeError as exc:
         message = " ".join(str(exc).split())
         print(f"error [{exc.code}]: {message}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`). Stop quietly, and
+        # point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

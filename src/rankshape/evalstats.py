@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,15 +127,7 @@ class LogitFit:
     iterations: int
 
     def to_record(self) -> dict:
-        return {
-            "beta0": self.beta0,
-            "beta_r": self.beta_r,
-            "beta_e": self.beta_e,
-            "std_errors": list(self.std_errors),
-            "p_values": list(self.p_values),
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_record())

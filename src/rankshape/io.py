@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FileFormatError, InputError
+from .rewards import DEFAULT_ALPHA, DEFAULT_GROUP_SIZE
 from .spectral import validate_trajectory
+from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH
 
 MAGIC = b"HSTB"
 VERSION = 1
@@ -126,10 +128,14 @@ def text_lines(path):
 
 
 def _read_csv(path: Path) -> np.ndarray:
+    """Rows and columns are named by 0-based index; blank lines count as rows."""
     rows = []
     for r, line in enumerate(csv.reader(text_lines(path))):
         if not line:
             continue
+        if rows and len(line) != len(rows[0]):
+            raise FileFormatError(
+                "dimension_mismatch", f"row {r} has {len(line)} columns, expected {len(rows[0])}")
         parsed = []
         for c, cell in enumerate(line):
             try:
@@ -144,11 +150,6 @@ def _read_csv(path: Path) -> np.ndarray:
         rows.append(parsed)
     if not rows:
         raise FileFormatError("dimension_mismatch", f"empty trajectory file: {path}")
-    width = len(rows[0])
-    for r, parsed in enumerate(rows):
-        if len(parsed) != width:
-            raise FileFormatError(
-                "dimension_mismatch", f"row {r} has {len(parsed)} columns, expected {width}")
     return np.array(rows, dtype=np.float64)
 
 
@@ -156,10 +157,10 @@ def _read_csv(path: Path) -> np.ndarray:
 class RunConfig:
     """Flat run configuration for the simulator commands."""
 
-    alpha: float = 0.5
-    window: int = 64
-    stride: int = 16
-    group_size: int = 8
+    alpha: float = DEFAULT_ALPHA
+    window: int = DEFAULT_WIDTH
+    stride: int = DEFAULT_STRIDE
+    group_size: int = DEFAULT_GROUP_SIZE
     iterations: int = 500
     learning_rate: float = 0.05
     train_seed: int = 1

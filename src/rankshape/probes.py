@@ -97,6 +97,16 @@ class StitchPlan:
     def to_json(self) -> str:
         return json.dumps(self.to_record())
 
+    @classmethod
+    def from_choice(cls, choice: ProbeChoice, basis: ManifoldBasis, prefix_length: int,
+                    query_id: str | None = None) -> "StitchPlan":
+        """The record of one selection round. It warns when even the winner
+        lies nearly inside the manifold (omega below LOW_OMEGA_THRESHOLD),
+        meaning no probe actually escapes."""
+        return cls(prefix_length=int(prefix_length), probe_index=choice.index,
+                   probe_label=choice.label, omega_score=choice.omega, basis_k=basis.k,
+                   warning=choice.omega < LOW_OMEGA_THRESHOLD, query_id=query_id)
+
 
 def _stack_lookahead(samples) -> np.ndarray:
     if isinstance(samples, np.ndarray):
@@ -144,6 +154,8 @@ def orthogonality_score(probe, basis: ManifoldBasis) -> float:
 
 def select_probe(probes: ProbeSet, basis: ManifoldBasis) -> ProbeChoice:
     """Pick the most orthogonal probe; ties go to the lowest index."""
+    if probes.dim != basis.dim:
+        raise InputError(f"probes have dimension {probes.dim}, states have {basis.dim}")
     scores = [orthogonality_score(v, basis) for v in probes.vectors]
     best = max(scores)
     index = next(i for i, s in enumerate(scores) if s >= best - TIE_TOLERANCE)
@@ -155,9 +167,8 @@ def plan_stitch(teacher_trace, prefix_length: int, lookahead_states, probes: Pro
                 query_id: str | None = None) -> StitchPlan:
     """Full ejection decision for one prefix of a teacher trace.
 
-    Builds the look-ahead manifold, scores the probes, and flags a warning
-    when even the winner is nearly inside the manifold (omega below
-    LOW_OMEGA_THRESHOLD), meaning no probe actually escapes.
+    Builds the look-ahead manifold, scores the probes, and records the
+    winner (see StitchPlan.from_choice).
     """
     H = validate_trajectory(teacher_trace)
     if not 1 <= prefix_length <= H.shape[0]:
@@ -166,15 +177,4 @@ def plan_stitch(teacher_trace, prefix_length: int, lookahead_states, probes: Pro
     if basis.dim != H.shape[1]:
         raise InputError(
             f"look-ahead states have dimension {basis.dim}, teacher trace has {H.shape[1]}")
-    if probes.dim != basis.dim:
-        raise InputError(f"probes have dimension {probes.dim}, states have {basis.dim}")
-    choice = select_probe(probes, basis)
-    return StitchPlan(
-        prefix_length=int(prefix_length),
-        probe_index=choice.index,
-        probe_label=choice.label,
-        omega_score=choice.omega,
-        basis_k=basis.k,
-        warning=choice.omega < LOW_OMEGA_THRESHOLD,
-        query_id=query_id,
-    )
+    return StitchPlan.from_choice(select_probe(probes, basis), basis, prefix_length, query_id)

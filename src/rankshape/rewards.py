@@ -35,11 +35,16 @@ class RolloutOutcome:
             raise InputError(f"norm_rank must be in [0, 1], got {self.norm_rank}")
 
 
+def check_alpha(alpha: float) -> None:
+    """The rank-bonus weight must be finite and >= 0."""
+    if not (np.isfinite(alpha) and alpha >= 0.0):
+        raise InputError(f"alpha must be finite and >= 0, got {alpha}")
+
+
 def gated_rewards(correct, norm_rank, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Correctness gate times (1 + alpha * norm_rank), elementwise over arrays
     of verdicts and rank scores; incorrect is exactly 0.0."""
-    if not (np.isfinite(alpha) and alpha >= 0.0):
-        raise InputError(f"alpha must be finite and >= 0, got {alpha}")
+    check_alpha(alpha)
     return np.where(correct, 1.0 + alpha * np.asarray(norm_rank, dtype=np.float64), 0.0)
 
 

@@ -15,7 +15,8 @@ logits, with the correctness-gated rank reward from the rewards module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,13 @@ from .io import text_lines
 # total_reward and windowed_min_effrank are not called here, but
 # perfbench/spans.py traces them under rankshape.sim, so the names must
 # keep resolving in this module.
-from .rewards import DEFAULT_GROUP_SIZE, gated_rewards, group_advantages, total_reward  # noqa: F401
+from .rewards import (  # noqa: F401
+    DEFAULT_GROUP_SIZE,
+    check_alpha,
+    gated_rewards,
+    group_advantages,
+    total_reward,
+)
 from .spectral import entropy_rows, erank_stack
 from .windows import (  # noqa: F401
     DEFAULT_STRIDE,
@@ -80,16 +87,9 @@ class EnvSpec:
         return v - self.bias_basis @ (self.bias_basis.T @ v)
 
     def config(self) -> dict:
-        return {
-            "d": self.d,
-            "vocab": self.vocab,
-            "bias_dim": self.bias_dim,
-            "n_null": self.n_null,
-            "tau": self.tau,
-            "horizon": self.horizon,
-            "decay": self.decay,
-            "seed": self.seed,
-        }
+        """The env's non-array fields, in field order."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v for k, v in values.items() if not isinstance(v, np.ndarray)}
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -272,21 +272,18 @@ class SimTrace:
     seed: int = 0
     final_policy: PolicyParams | None = None
 
-    CSV_HEADER = "iteration,mean_windowed_erank,success_rate,mean_reward,policy_entropy"
+    COLUMNS = (("iteration", int), ("mean_windowed_erank", float), ("success_rate", float),
+               ("mean_reward", float), ("policy_entropy", float))
+    CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 
     def __len__(self) -> int:
         return int(self.iteration.size)
 
     def to_csv(self, path) -> None:
+        columns = [getattr(self, name) for name, _ in self.COLUMNS]
         lines = [self.CSV_HEADER]
-        for i in range(len(self)):
-            lines.append(",".join([
-                str(int(self.iteration[i])),
-                repr(float(self.mean_windowed_erank[i])),
-                repr(float(self.success_rate[i])),
-                repr(float(self.mean_reward[i])),
-                repr(float(self.policy_entropy[i])),
-            ]))
+        for row in zip(*columns):
+            lines.append(",".join(repr(typ(v)) for (_, typ), v in zip(self.COLUMNS, row)))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
@@ -295,23 +292,15 @@ class SimTrace:
         if not lines or lines[0] != cls.CSV_HEADER:
             raise InputError(f"not a trace CSV (bad header): {path}")
         rows = [line.split(",") for line in lines[1:]]
-        if not rows or any(len(r) != 5 for r in rows):
+        if not rows or any(len(r) != len(cls.COLUMNS) for r in rows):
             raise InputError(f"malformed trace CSV: {path}")
-        cols = list(zip(*rows))
         try:
-            return cls(
-                iteration=np.array([int(x) for x in cols[0]]),
-                mean_windowed_erank=np.array([float(x) for x in cols[1]]),
-                success_rate=np.array([float(x) for x in cols[2]]),
-                mean_reward=np.array([float(x) for x in cols[3]]),
-                policy_entropy=np.array([float(x) for x in cols[4]]),
-            )
+            return cls(**{name: np.array([typ(x) for x in column])
+                          for (name, typ), column in zip(cls.COLUMNS, zip(*rows))})
         except ValueError:
             raise InputError(f"unparseable number in trace CSV: {path}") from None
 
     def config_json(self) -> str:
-        import json
-
         return json.dumps(dict(self.config, seed=self.seed), sort_keys=True, indent=2) + "\n"
 
 
@@ -327,8 +316,7 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     group, and ascends the advantage-weighted log-probability. No KL term,
     no clipping, no baseline beyond the group mean.
     """
-    if not (np.isfinite(alpha) and alpha >= 0.0):
-        raise InputError(f"alpha must be finite and >= 0, got {alpha}")
+    check_alpha(alpha)
     if group_size < 2:
         raise GroupSizeError(f"group too small: need at least 2 rollouts, got {group_size}")
     if iterations < 1:
@@ -339,8 +327,7 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
         raise InputError("learning_rate must be finite")
     width = window if window is not None else min(DEFAULT_WIDTH, env.horizon)
 
-    theta = np.asarray(init_policy.logits, dtype=np.float64).copy()
-    scale = init_policy.scale
+    policy = init_policy.copy()
     its = np.arange(iterations)
     eranks = np.empty(iterations)
     successes = np.empty(iterations)
@@ -348,7 +335,6 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     entropies = np.empty(iterations)
 
     for it in range(iterations):
-        policy = PolicyParams(logits=theta, scale=scale)
         tokens, states, correct, _ = sample_group(
             policy, env, [np.random.SeedSequence([seed, it, i]) for i in range(group_size)])
         min_eranks, norm_ranks = stacked_min_effrank(states, width, stride)
@@ -360,8 +346,10 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
         rewards_out[it] = rewards.mean()
         entropies[it] = policy.entropy()
 
-        grad = policy_gradient(theta, scale, tokens, advantages)
-        theta = theta + learning_rate * grad
+        grad = policy_gradient(policy.logits, policy.scale, tokens, advantages)
+        policy.logits += learning_rate * grad
+        if not np.all(np.isfinite(policy.logits)):  # a huge learning_rate overflowed them
+            raise InputError("logits must be finite")
 
     config = {
         "alpha": float(alpha),
@@ -371,13 +359,12 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
         "window": int(width),
         "stride": int(stride),
         "train_seed": int(seed),
-        "scale": float(scale),
+        "scale": float(policy.scale),
         "env": env.config(),
     }
     return SimTrace(iteration=its, mean_windowed_erank=eranks, success_rate=successes,
                     mean_reward=rewards_out, policy_entropy=entropies,
-                    config=config, seed=int(seed),
-                    final_policy=PolicyParams(logits=theta, scale=scale))
+                    config=config, seed=int(seed), final_policy=policy)
 
 
 @dataclass(frozen=True)

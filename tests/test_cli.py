@@ -218,6 +218,17 @@ class TestSoeSelect:
         assert plan["prefix_length"] == 12
         assert plan["query_id"] == "q1"
 
+    def test_probe_dimension_mismatch_is_input_error(self, capsys, tmp_path):
+        basis_path = tmp_path / "basis.hstb"
+        write_trajectory(basis_path, np.random.default_rng(0).normal(size=(30, 4)))
+        probes_path = tmp_path / "probes.hstb"
+        write_trajectory(probes_path, np.eye(3))
+        code, out, err = run_cli(capsys, "soe-select",
+                                 "--basis", str(basis_path), "--probes", str(probes_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error [input]: probes have dimension 3, states have 4\n"
+
     def test_identical_states_exit_2(self, capsys, tmp_path):
         basis_path = tmp_path / "basis.hstb"
         write_trajectory(basis_path, np.ones((6, 3)))
@@ -322,6 +333,7 @@ class TestArgumentErrors:
 
 # Deeper than json.loads can recurse.
 DEEPLY_NESTED = "[" * 200_000
+ONE_RECORD = '{"correct": true, "norm_rank": 0.5}\n'
 
 
 class TestMalformedInput:
@@ -382,17 +394,20 @@ class TestMalformedInput:
         assert err.startswith("error [input]:")
         assert config_path.name in err
 
-    @pytest.mark.parametrize("option, argv", [
-        ("alpha", ["reward", "--alpha", "nan"]),
-        ("alpha", ["reward", "--alpha", "inf"]),
-        ("alpha", ["simulate", "--set", "alpha=nan"]),
-        ("prefix", ["soe-select", "--prefix", "-3"]),
-    ], ids=["reward-alpha-nan", "reward-alpha-inf", "simulate-alpha-nan", "soe-select-prefix"])
-    def test_out_of_range_number_is_input_error(self, capsys, tmp_path, option, argv):
+    @pytest.mark.parametrize("option, argv, records", [
+        ("alpha", ["reward", "--alpha", "nan"], ONE_RECORD),
+        ("alpha", ["reward", "--alpha", "inf"], ONE_RECORD),
+        ("alpha", ["reward", "--alpha", "nan"], ""),
+        ("alpha", ["reward", "--alpha", "-1"], ""),
+        ("alpha", ["simulate", "--set", "alpha=nan"], None),
+        ("prefix", ["soe-select", "--prefix", "-3"], None),
+    ], ids=["reward-alpha-nan", "reward-alpha-inf", "reward-alpha-nan-empty-file",
+            "reward-alpha-negative-empty-file", "simulate-alpha-nan", "soe-select-prefix"])
+    def test_out_of_range_number_is_input_error(self, capsys, tmp_path, option, argv, records):
         if argv[0] == "reward":
-            records = tmp_path / "records.jsonl"
-            records.write_text('{"correct": true, "norm_rank": 0.5}\n')
-            argv = argv + [str(records)]
+            path = tmp_path / "records.jsonl"
+            path.write_text(records)
+            argv = argv + [str(path)]
         elif argv[0] == "simulate":
             cfg = tmp_path / "run.cfg"
             cfg.write_text("iterations = 3\nhorizon = 12\nwindow = 12\n")
@@ -408,7 +423,11 @@ class TestMalformedInput:
         assert option in err
 
     @pytest.mark.parametrize("case", ["label_with_slash", "out_is_a_file", "out_under_a_file"])
-    def test_simulate_unwritable_output_is_input_error(self, capsys, tmp_path, case):
+    def test_simulate_unwritable_output_is_input_error(self, capsys, tmp_path, monkeypatch, case):
+        def train(*args, **kwargs):
+            raise AssertionError("simulate trained before checking its output path")
+
+        monkeypatch.setattr("rankshape.cli.train", train)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("iterations = 2\nhorizon = 12\nwindow = 12\n")
         a_file = tmp_path / "a_file"
@@ -427,6 +446,7 @@ class TestMalformedInput:
         assert stdout == ""
         assert err.startswith("error [input]:")
         assert str(named) in err
+        assert not [p for p in tmp_path.rglob("*") if p.suffix in (".csv", ".json")]
 
     def test_report_accepts_integral_float_seed(self, capsys, tmp_path):
         out_dir, config_path, _ = self.write_run(tmp_path, capsys)
@@ -449,6 +469,24 @@ class TestMalformedInput:
 
 
 NOT_UTF8 = b"\xff\xfe\x00bad\n"
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    path = tmp_path / "traj.hstb"
+    write_trajectory(path, np.random.default_rng(0).normal(size=(400, 3)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader, so every write to stdout fails with EPIPE
+    src = str(Path(rankshape.__file__).resolve().parents[1])
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "rankshape.cli", "window-rank", str(path), "--w", "2",
+             "--stride", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""
 
 
 def _not_utf8_case(tmp_path, capsys, command):

@@ -9,6 +9,7 @@ from rankshape import (
     DegenerateLabelsError,
     FileFormatError,
     InputError,
+    LogitFit,
     PassCounts,
     RangeError,
     SeparableDataError,
@@ -231,6 +232,13 @@ class TestFitDecouplingLogit:
         assert set(record) == {"beta0", "beta_r", "beta_e", "std_errors",
                                "p_values", "converged", "iterations"}
         assert len(record["std_errors"]) == 3
+
+    def test_json_bytes_pinned(self):
+        fit = LogitFit(beta0=0.5, beta_r=1.25, beta_e=-0.75, std_errors=(0.1, 0.2, 0.3),
+                       p_values=(0.01, 1e-73, 0.9), converged=True, iterations=6)
+        assert fit.to_json() == (
+            '{"beta0": 0.5, "beta_r": 1.25, "beta_e": -0.75, "std_errors": [0.1, 0.2, 0.3], '
+            '"p_values": [0.01, 1e-73, 0.9], "converged": true, "iterations": 6}')
 
 
 class TestLoadDecouplingCsv:

@@ -167,6 +167,14 @@ class TestCsvTrajectories:
             read_trajectory(path)
         assert info.value.code == "dimension_mismatch"
 
+    def test_ragged_row_after_blank_line_named_by_csv_index(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("1,2\n\n3,4\n5\n")
+        with pytest.raises(FileFormatError) as info:
+            read_trajectory(path)
+        assert info.value.code == "dimension_mismatch"
+        assert str(info.value) == "row 3 has 1 columns, expected 2"
+
     def test_unparseable_cell_rejected(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("1.0,abc\n")

@@ -6,7 +6,9 @@ import pytest
 
 from rankshape import (
     InputError,
+    ProbeChoice,
     ProbeSet,
+    StitchPlan,
     ZeroVarianceError,
     lookahead_manifold,
     orthogonality_score,
@@ -14,6 +16,7 @@ from rankshape import (
     principal_subspace,
     select_probe,
 )
+from rankshape.probes import LOW_OMEGA_THRESHOLD
 
 EPS = 1e-8
 
@@ -107,6 +110,10 @@ class TestSelectProbe:
         probes = ProbeSet(np.vstack([v, v, v]))
         assert select_probe(probes, basis).index == 0
 
+    def test_dimension_mismatch_named(self):
+        with pytest.raises(InputError, match="^probes have dimension 3, states have 4$"):
+            select_probe(ProbeSet(np.eye(3)), planar_basis())
+
     def test_singleton(self):
         basis = planar_basis()
         probes = ProbeSet(np.array([[0.2, 0.1, 0.0, 0.0]]))
@@ -191,6 +198,15 @@ class TestPlanStitch:
         probes = ProbeSet(np.eye(3))
         with pytest.raises(InputError):
             plan_stitch(self.trace, 2, self.lookahead, probes)
+
+    def test_warning_below_threshold_only(self):
+        basis = planar_basis()
+        for omega, warning in ((LOW_OMEGA_THRESHOLD, False),
+                               (np.nextafter(LOW_OMEGA_THRESHOLD, 0.0), True)):
+            plan = StitchPlan.from_choice(ProbeChoice(1, "p1", omega), basis, 4, "q")
+            assert plan == StitchPlan(prefix_length=4, probe_index=1, probe_label="p1",
+                                      omega_score=omega, basis_k=basis.k, warning=warning,
+                                      query_id="q")
 
     def test_json_record_fields(self):
         probes = ProbeSet(np.eye(4))

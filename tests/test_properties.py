@@ -1,5 +1,6 @@
-"""Property tests: the window scorer against its per-window oracle, and the
-HSTB reader against arbitrary bytes."""
+"""Property tests: the window scorer against its per-window oracle, the
+effective rank's invariances and its two eigen paths, group advantages, and
+the HSTB reader against arbitrary bytes."""
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from rankshape import (  # noqa: E402
     FileFormatError,
     InputError,
     covariance_spectrum,
+    effective_rank,
     erank_or_floor,
+    group_advantages,
     read_trajectory_with_metadata,
     stacked_min_effrank,
     windowed_min_effrank,
     write_trajectory,
 )
+from rankshape.rewards import STD_FLOOR  # noqa: E402
 
 
 @st.composite
@@ -52,6 +56,61 @@ def test_stacked_windows_match_each_window_oracle(case):
         for start, erank in zip(profile.starts, profile.per_window_erank):
             expected = erank_or_floor(covariance_spectrum(H[start:start + width]))
             assert abs(erank - expected) <= 1e-12
+
+
+@st.composite
+def trajectories(draw):
+    """A (T, d) Gaussian trajectory, T >= 2, with a random offset, and the
+    generator that made it."""
+    T = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.floats(0.0, 1e3))
+    return offset * rng.normal(size=d) + rng.normal(size=(T, d)), rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(trajectories(), st.floats(1e-3, 1e3))
+def test_erank_invariant_under_rotation_and_scale(case, scale):
+    H, rng = case
+    Q, _ = np.linalg.qr(rng.normal(size=(H.shape[1], H.shape[1])))
+    before = effective_rank(covariance_spectrum(H))
+    after = effective_rank(covariance_spectrum(scale * H @ Q))
+    assert abs(after - before) <= 1e-9 * before
+
+
+@settings(max_examples=100, deadline=None)
+@given(trajectories())
+def test_gram_and_covariance_paths_agree(case):
+    H, _ = case
+    gram = covariance_spectrum(H, method="gram")
+    cov = covariance_spectrum(H, method="covariance")
+    top = cov.eigenvalues[0]
+    assert np.all(np.abs(gram.eigenvalues - cov.eigenvalues) <= 1e-10 * top)
+    assert abs(effective_rank(gram) - effective_rank(cov)) <= 1e-9 * effective_rank(cov)
+
+
+@st.composite
+def reward_groups(draw):
+    """Rewards of one group: spread anywhere from 0 to well above STD_FLOOR."""
+    size = draw(st.integers(2, 64))
+    base = draw(st.floats(-10.0, 10.0))
+    spread = draw(st.sampled_from([0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return base + spread * rng.normal(size=size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reward_groups())
+def test_group_advantages_standardized_or_zero(rewards):
+    advantages = group_advantages(rewards)
+    std = rewards.std()
+    if std < STD_FLOOR:
+        assert np.all(advantages == 0.0)
+    else:
+        tol = 1e-12 * (1.0 + np.abs(rewards).max() / std)
+        assert abs(advantages.mean()) <= tol
+        assert abs(advantages.std() - 1.0) <= tol
 
 
 @pytest.fixture(scope="module")

@@ -288,6 +288,26 @@ class TestTrain:
         assert trace.config["env"]["seed"] == 3
         assert trace.seed == 5
 
+    def test_config_holds_the_env_scalars(self):
+        config = build_env(3).config()
+        assert [(key, type(value)) for key, value in config.items()] == [
+            ("d", int), ("vocab", int), ("bias_dim", int), ("n_null", int),
+            ("tau", float), ("horizon", int), ("decay", float), ("seed", int)]
+        assert config["seed"] == 3
+
+    def test_init_logits_edited_to_nan_rejected(self):
+        env = build_env(0)
+        init = biased_init(env)
+        init.logits[0] = np.nan
+        with pytest.raises(InputError, match="logits must be finite"):
+            train(env, init, alpha=0.5, iterations=1)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_learning_rate_rejected(self):
+        env = build_env(0)
+        with pytest.raises(InputError, match="logits must be finite"):
+            train(env, biased_init(env), alpha=0.5, iterations=4, learning_rate=1e308)
+
     def test_parameter_violations(self):
         env = build_env(0)
         init = biased_init(env)
@@ -332,6 +352,15 @@ class TestSimTraceCsv:
         npt.assert_array_equal(loaded.iteration, trace.iteration)
         npt.assert_array_equal(loaded.mean_windowed_erank, trace.mean_windowed_erank)
         npt.assert_array_equal(loaded.policy_entropy, trace.policy_entropy)
+
+    def test_bytes_survive_a_round_trip(self, tmp_path):
+        env = build_env(5)
+        trace = train(env, biased_init(env), alpha=0.5, iterations=6, seed=2)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        trace.to_csv(first)
+        SimTrace.from_csv(first).to_csv(second)
+        assert second.read_bytes() == first.read_bytes()
+        assert first.read_text().splitlines()[1].split(",")[0] == "0"
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "trace.csv"
