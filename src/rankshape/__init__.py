@@ -2,6 +2,8 @@
 metrics, rank-aware reward shaping, orthogonal probe selection, evaluation
 statistics, and a desk-scale rank-collapse simulator."""
 
+import types
+
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -93,77 +95,7 @@ from .windows import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DecouplingSample",
-    "DegenerateDataError",
-    "DegenerateLabelsError",
-    "DegenerateSpectrumError",
-    "EnvSpec",
-    "FileFormatError",
-    "GroupSample",
-    "GroupSizeError",
-    "InputError",
-    "LogitFit",
-    "ManifoldBasis",
-    "NormalizationError",
-    "PassCounts",
-    "PolicyParams",
-    "ProbeChoice",
-    "ProbeSet",
-    "RangeError",
-    "RankshapeError",
-    "Rollout",
-    "RolloutOutcome",
-    "RunConfig",
-    "SeparableDataError",
-    "SimTrace",
-    "Spectrum",
-    "StitchPlan",
-    "SweepResult",
-    "TrajectoryTooShortError",
-    "WindowRankProfile",
-    "ZeroVarianceError",
-    "apply_overrides",
-    "biased_init",
-    "build_env",
-    "center",
-    "confinement_ratio",
-    "covariance_spectrum",
-    "effective_rank",
-    "erank_or_floor",
-    "erank_stack",
-    "fit_decoupling_logit",
-    "gated_rewards",
-    "geometric_barrier_probe",
-    "group_advantages",
-    "grpo_objective",
-    "load_decoupling_csv",
-    "load_run_config",
-    "lookahead_manifold",
-    "mean_token_entropy",
-    "norm_rank",
-    "orthogonality_score",
-    "parse_run_config",
-    "pass_at_k",
-    "pass_curve",
-    "plan_stitch",
-    "policy_gradient",
-    "principal_subspace",
-    "read_trajectory",
-    "read_trajectory_with_metadata",
-    "rollout",
-    "sample_group",
-    "score_group",
-    "select_probe",
-    "spectral_entropy",
-    "stacked_min_effrank",
-    "temperature_sweep",
-    "total_reward",
-    "train",
-    "validate_trajectory",
-    "weighted_log_prob",
-    "window_starts",
-    "windowed_min_effrank",
-    "write_trajectory",
-]
+# The import block above is the one list of public names; the submodules
+# it binds stay out, so a star import cannot shadow the stdlib io.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -155,7 +155,11 @@ def _read_csv(path: Path) -> np.ndarray:
 
 @dataclasses.dataclass
 class RunConfig:
-    """Flat run configuration for the simulator commands."""
+    """Flat run configuration for the simulator commands.
+
+    Its defaults are also those of sim.build_env, biased_init and train,
+    except train's seed (0) and window (min(DEFAULT_WIDTH, horizon)).
+    """
 
     alpha: float = DEFAULT_ALPHA
     window: int = DEFAULT_WIDTH

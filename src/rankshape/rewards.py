@@ -24,11 +24,10 @@ STD_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class RolloutOutcome:
-    """Verifier verdict plus the rank score and log-probability of one rollout."""
+    """Verifier verdict plus the rank score of one rollout."""
 
     correct: bool
     norm_rank: float
-    log_prob: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.norm_rank) or not 0.0 <= self.norm_rank <= 1.0:

@@ -22,12 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GroupSizeError, InputError, RangeError
-from .io import text_lines
+from .io import RunConfig, text_lines
 # total_reward and windowed_min_effrank are not called here, but
 # perfbench/spans.py traces them under rankshape.sim, so the names must
 # keep resolving in this module.
 from .rewards import (  # noqa: F401
-    DEFAULT_GROUP_SIZE,
     check_alpha,
     gated_rewards,
     group_advantages,
@@ -35,14 +34,10 @@ from .rewards import (  # noqa: F401
 )
 from .spectral import entropy_rows, erank_stack
 from .windows import (  # noqa: F401
-    DEFAULT_STRIDE,
     DEFAULT_WIDTH,
     stacked_min_effrank,
     windowed_min_effrank,
 )
-
-DEFAULT_LEARNING_RATE = 0.05
-DEFAULT_BIAS_LOGIT = 2.0
 
 # Null tokens put this fraction range of their norm in the complement and
 # scatter around the target with this much unit-sphere spread. Chosen so
@@ -99,9 +94,10 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def build_env(seed: int, d: int = 16, vocab: int = 32, bias_dim: int = 4,
-              n_null: int = 8, tau: float = 0.3, horizon: int = 32,
-              decay: float = 0.7) -> EnvSpec:
+def build_env(seed: int, d: int = RunConfig.dim, vocab: int = RunConfig.vocab,
+              bias_dim: int = RunConfig.bias_dim, n_null: int = RunConfig.null_tokens,
+              tau: float = RunConfig.tau, horizon: int = RunConfig.horizon,
+              decay: float = RunConfig.decay) -> EnvSpec:
     """Deterministically construct the bandit geometry for a seed.
 
     The orthogonal frame comes from the QR of a seeded Gaussian matrix;
@@ -176,7 +172,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def biased_init(env: EnvSpec, offset: float = DEFAULT_BIAS_LOGIT) -> PolicyParams:
+def biased_init(env: EnvSpec, offset: float = RunConfig.bias_logit) -> PolicyParams:
     """Policy concentrated on the bias subspace: bias-token logits get +offset."""
     logits = np.zeros(env.vocab)
     logits[: env.n_bias] = offset
@@ -305,9 +301,9 @@ class SimTrace:
 
 
 def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
-          group_size: int = DEFAULT_GROUP_SIZE, iterations: int = 500,
-          learning_rate: float = DEFAULT_LEARNING_RATE, seed: int = 0,
-          window: int | None = None, stride: int = DEFAULT_STRIDE) -> SimTrace:
+          group_size: int = RunConfig.group_size, iterations: int = RunConfig.iterations,
+          learning_rate: float = RunConfig.learning_rate, seed: int = 0,
+          window: int | None = None, stride: int = RunConfig.stride) -> SimTrace:
     """Group-normalized REINFORCE on the logits with the rank-aware reward.
 
     Each iteration samples a group of group_size rollouts (sub-seeded from
@@ -347,9 +343,11 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
         entropies[it] = policy.entropy()
 
         grad = policy_gradient(policy.logits, policy.scale, tokens, advantages)
-        policy.logits += learning_rate * grad
-        if not np.all(np.isfinite(policy.logits)):  # a huge learning_rate overflowed them
-            raise InputError("logits must be finite")
+        with np.errstate(over="ignore"):
+            policy.logits += learning_rate * grad
+        if not np.all(np.isfinite(policy.logits)):
+            raise InputError(f"logits must be finite: learning_rate {learning_rate} "
+                             "overflowed them")
 
     config = {
         "alpha": float(alpha),

@@ -293,6 +293,22 @@ class TestSimulateAndReport:
         assert code == 1
         assert "accepted keys" in err
 
+    def test_overflowing_learning_rate_is_one_error_line(self, tmp_path):
+        # A subprocess, so that a numpy warning would reach the real stderr.
+        cfg = self.write_config(tmp_path)
+        src = str(Path(rankshape.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "rankshape.cli", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "runs"), "--set", "learning_rate=1e308"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error [input]:")
+        assert "learning_rate" in lines[0]
+
     def test_report_aggregates_sorted(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path)
         out_dir = tmp_path / "runs"

@@ -1,6 +1,6 @@
 """Property tests: the window scorer against its per-window oracle, the
-effective rank's invariances and its two eigen paths, group advantages, and
-the HSTB reader against arbitrary bytes."""
+stride-1 window minimum, the effective rank's invariances and its two eigen
+paths, group advantages, and the HSTB reader against arbitrary bytes."""
 
 import numpy as np
 import pytest
@@ -56,6 +56,18 @@ def test_stacked_windows_match_each_window_oracle(case):
         for start, erank in zip(profile.starts, profile.per_window_erank):
             expected = erank_or_floor(covariance_spectrum(H[start:start + width]))
             assert abs(erank - expected) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_stacks())
+def test_stride_one_window_minimum_is_lowest(case):
+    # The stride-1 starts include every start of any stride; strides past
+    # T - width all give the same two starts.
+    states, width, _ = case
+    for H in states:
+        finest = windowed_min_effrank(H, width, 1).min_erank
+        for stride in range(2, len(H) - width + 2):
+            assert finest <= windowed_min_effrank(H, width, stride).min_erank + 1e-12
 
 
 @st.composite

@@ -302,7 +302,6 @@ class TestTrain:
         with pytest.raises(InputError, match="logits must be finite"):
             train(env, init, alpha=0.5, iterations=1)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_learning_rate_rejected(self):
         env = build_env(0)
         with pytest.raises(InputError, match="logits must be finite"):
