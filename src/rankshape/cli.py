@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -243,7 +244,8 @@ def cmd_simulate(args) -> int:
                   seed=cfg.train_seed, window=cfg.window, stride=cfg.stride)
     with _writing(out):
         trace.to_csv(trace_path)
-        config_path.write_text(trace.config_json(), encoding="utf-8")
+        config_path.write_text(json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2)
+                               + "\n", encoding="utf-8")
     if cfg.verbose:
         print(f"final: erank={trace.mean_windowed_erank[-1]:.4f} "
               f"success={trace.success_rate[-1]:.4f}", file=sys.stderr)

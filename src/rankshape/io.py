@@ -157,6 +157,10 @@ def _read_csv(path: Path) -> np.ndarray:
 class RunConfig:
     """Flat run configuration for the simulator commands.
 
+    It is also the run record: ``simulate`` writes the resolved config,
+    every field under its own name, as the run's JSON, so that file reads
+    back as a config file.
+
     Its defaults are also those of sim.build_env, biased_init and train,
     except train's seed (0) and window (min(DEFAULT_WIDTH, horizon)).
     """

@@ -15,8 +15,7 @@ logits, with the correctness-gated rank reward from the rewards module.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +80,11 @@ class EnvSpec:
         v = np.asarray(vec, dtype=np.float64)
         return v - self.bias_basis @ (self.bias_basis.T @ v)
 
-    def config(self) -> dict:
-        """The env's non-array fields, in field order."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v for k, v in values.items() if not isinstance(v, np.ndarray)}
+
+def _check_seed(seed) -> None:
+    """The simulator's one seed rule: a seed is a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -105,8 +105,7 @@ def build_env(seed: int, d: int = RunConfig.dim, vocab: int = RunConfig.vocab,
     complement holding the target u_star. The same seed gives a
     bit-identical environment.
     """
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     if not 1 <= bias_dim < d:
         raise InputError(f"need 1 <= bias_dim < d, got bias_dim={bias_dim}, d={d}")
     if not 1 <= n_null < vocab:
@@ -253,7 +252,7 @@ def policy_gradient(logits, scale: float, token_seqs, advantages) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Per-iteration training metrics plus the run's config snapshot.
+    """Per-iteration training metrics plus the policy they ended with.
 
     Metrics are recorded before each update, so row 0 describes the
     initial policy.
@@ -264,8 +263,6 @@ class SimTrace:
     success_rate: np.ndarray
     mean_reward: np.ndarray
     policy_entropy: np.ndarray
-    config: dict = field(default_factory=dict)
-    seed: int = 0
     final_policy: PolicyParams | None = None
 
     COLUMNS = (("iteration", int), ("mean_windowed_erank", float), ("success_rate", float),
@@ -296,9 +293,6 @@ class SimTrace:
         except ValueError:
             raise InputError(f"unparseable number in trace CSV: {path}") from None
 
-    def config_json(self) -> str:
-        return json.dumps(dict(self.config, seed=self.seed), sort_keys=True, indent=2) + "\n"
-
 
 def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
           group_size: int = RunConfig.group_size, iterations: int = RunConfig.iterations,
@@ -312,15 +306,14 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     group, and ascends the advantage-weighted log-probability. No KL term,
     no clipping, no baseline beyond the group mean.
     """
+    _check_seed(seed)
     check_alpha(alpha)
     if group_size < 2:
         raise GroupSizeError(f"group too small: need at least 2 rollouts, got {group_size}")
     if iterations < 1:
         raise InputError(f"iterations must be >= 1, got {iterations}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    if not np.isfinite(learning_rate):
-        raise InputError("learning_rate must be finite")
+    if not 0.0 <= learning_rate < np.inf:
+        raise InputError(f"learning_rate must be finite and >= 0, got {learning_rate}")
     width = window if window is not None else min(DEFAULT_WIDTH, env.horizon)
 
     policy = init_policy.copy()
@@ -349,20 +342,9 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
             raise InputError(f"logits must be finite: learning_rate {learning_rate} "
                              "overflowed them")
 
-    config = {
-        "alpha": float(alpha),
-        "group_size": int(group_size),
-        "iterations": int(iterations),
-        "learning_rate": float(learning_rate),
-        "window": int(width),
-        "stride": int(stride),
-        "train_seed": int(seed),
-        "scale": float(policy.scale),
-        "env": env.config(),
-    }
     return SimTrace(iteration=its, mean_windowed_erank=eranks, success_rate=successes,
                     mean_reward=rewards_out, policy_entropy=entropies,
-                    config=config, seed=int(seed), final_policy=policy)
+                    final_policy=policy)
 
 
 @dataclass(frozen=True)
@@ -382,6 +364,7 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
     ascending. Sharper policies visit fewer directions, so the estimated
     mean rank should fall (within sampling noise) as the scale grows.
     """
+    _check_seed(seed)
     scales = [float(s) for s in scales]
     if not scales or any(s <= 0.0 for s in scales):
         raise InputError("scales must be positive")
@@ -389,8 +372,6 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
         raise InputError("scales must be strictly ascending")
     if samples_per_scale < 1:
         raise RangeError(f"samples_per_scale must be >= 1, got {samples_per_scale}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
     means = []
     errors = []
     for j, s in enumerate(scales):
@@ -411,12 +392,11 @@ def geometric_barrier_probe(policy: PolicyParams, env: EnvSpec, delta: float,
     Near zero for policies trapped in the bias subspace; rises once the
     policy routes mass through complement-heavy tokens.
     """
+    _check_seed(seed)
     if delta <= 0.0:
         raise RangeError(f"delta must be positive, got {delta}")
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
     _, states, _, _ = sample_group(
         policy, env, [np.random.SeedSequence([seed, i]) for i in range(samples)])
     escaped = np.linalg.norm(env.null_component(states[:, -1].T), axis=0) > delta

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import rankshape
 from rankshape import write_trajectory
 from rankshape.cli import main
+from rankshape.io import apply_overrides, load_run_config
 
 
 def run_cli(capsys, *argv):
@@ -266,6 +268,21 @@ class TestSimulateAndReport:
         assert config["alpha"] == 0.5
         assert config["train_seed"] == 3
 
+    def test_record_is_the_resolved_config(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, env_seed=3, train_seed=103, label="p3")
+        first = tmp_path / "first"
+        run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(first),
+                "--set", "alpha=0.5")
+        record = json.loads((first / "p3_alpha0.5_seed103.json").read_text())
+        resolved = apply_overrides(load_run_config(cfg), ["alpha=0.5"])
+        assert record == dataclasses.asdict(resolved)
+        # The record reads back as a config file and reproduces both outputs.
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in record.items()))
+        second = tmp_path / "second"
+        run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(second))
+        for path in first.iterdir():
+            assert (second / path.name).read_bytes() == path.read_bytes()
+
     def test_simulate_deterministic_bytes(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, alpha=0.0, train_seed=1)
         out_a = tmp_path / "a"
@@ -416,9 +433,11 @@ class TestMalformedInput:
         ("alpha", ["reward", "--alpha", "nan"], ""),
         ("alpha", ["reward", "--alpha", "-1"], ""),
         ("alpha", ["simulate", "--set", "alpha=nan"], None),
+        ("learning_rate", ["simulate", "--set", "learning_rate=-0.05"], None),
         ("prefix", ["soe-select", "--prefix", "-3"], None),
     ], ids=["reward-alpha-nan", "reward-alpha-inf", "reward-alpha-nan-empty-file",
-            "reward-alpha-negative-empty-file", "simulate-alpha-nan", "soe-select-prefix"])
+            "reward-alpha-negative-empty-file", "simulate-alpha-nan",
+            "simulate-learning-rate-negative", "soe-select-prefix"])
     def test_out_of_range_number_is_input_error(self, capsys, tmp_path, option, argv, records):
         if argv[0] == "reward":
             path = tmp_path / "records.jsonl"
@@ -553,6 +572,32 @@ def test_directory_input_is_input_error(capsys, tmp_path, command):
     code, _, err = run_cli(capsys, command, str(tmp_path))
     assert code == 1
     assert err.startswith("error [input]: no such file")
+
+
+SAMPLES_HEADER = "eff_rank,entropy,correct\n"
+
+
+@pytest.mark.parametrize("argv, text, error_code", [
+    (["advantage"], "1,abc\n", "input"),
+    (["passk", "--n", "4", "--ks", "2"], "x\n", "input"),
+    (["passk", "--n", "4", "--ks", "a"], "2\n", "input"),
+    (["passk", "--n", "4", "--ks", ","], "2\n", "input"),
+    (["report", "--runs"], "", "input"),
+    (["fit-decouple"], "", "bad_header"),
+    (["fit-decouple"], SAMPLES_HEADER + "1.0,0.5\n", "dimension_mismatch"),
+    (["fit-decouple"], SAMPLES_HEADER + "2.0,0.5,2\n", "bad_value"),
+    (["fit-decouple"], SAMPLES_HEADER + "0.5,0.5,1\n", "bad_value"),
+], ids=["advantage-bad-reward", "passk-bad-count", "passk-bad-ks", "passk-empty-ks",
+        "report-runs-is-a-file", "fit-decouple-empty", "fit-decouple-two-fields",
+        "fit-decouple-correct-2", "fit-decouple-rank-below-1"])
+def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error [{error_code}]:")
 
 
 def test_cli_import_loads_no_scipy():

@@ -277,23 +277,13 @@ class TestTrain:
         train(env, init, alpha=0.0, iterations=5, seed=0)
         npt.assert_array_equal(init.logits, before)
 
-    def test_trace_shapes_and_config(self):
+    def test_trace_shapes(self):
         env = build_env(3)
         trace = train(env, biased_init(env), alpha=0.25, iterations=12, seed=5)
         assert len(trace) == 12
         assert trace.iteration[0] == 0 and trace.iteration[-1] == 11
         assert np.all(np.isfinite(trace.mean_windowed_erank))
         assert np.all((trace.success_rate >= 0.0) & (trace.success_rate <= 1.0))
-        assert trace.config["alpha"] == 0.25
-        assert trace.config["env"]["seed"] == 3
-        assert trace.seed == 5
-
-    def test_config_holds_the_env_scalars(self):
-        config = build_env(3).config()
-        assert [(key, type(value)) for key, value in config.items()] == [
-            ("d", int), ("vocab", int), ("bias_dim", int), ("n_null", int),
-            ("tau", float), ("horizon", int), ("decay", float), ("seed", int)]
-        assert config["seed"] == 3
 
     def test_init_logits_edited_to_nan_rejected(self):
         env = build_env(0)
@@ -319,6 +309,23 @@ class TestTrain:
             train(env, init, alpha=0.0, iterations=0)
         with pytest.raises(InputError):
             train(env, init, alpha=0.0, seed=-2)
+
+
+SEED_ENTRY_POINTS = {
+    "build_env": lambda env, seed: build_env(seed),
+    "train": lambda env, seed: train(env, biased_init(env), alpha=0.5, iterations=1, seed=seed),
+    "temperature_sweep": lambda env, seed: temperature_sweep(
+        biased_init(env), env, [1.0, 2.0], 2, seed=seed),
+    "geometric_barrier_probe": lambda env, seed: geometric_barrier_probe(
+        biased_init(env), env, 0.3, 2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+def test_seed_must_be_a_non_negative_integer(entry, seed):
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        SEED_ENTRY_POINTS[entry](build_env(0), seed)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_train.json").read_text())
