@@ -21,12 +21,18 @@ import numpy as np
 
 from .errors import InputError, RankshapeError
 from .evalstats import PassCounts, fit_decoupling_logit, load_decoupling_csv, pass_curve
-from .io import apply_overrides, load_run_config, read_trajectory, text_lines
+from .io import _read_stored, apply_overrides, load_run_config, read_trajectory, text_lines
 from .probes import ProbeSet, StitchPlan, lookahead_manifold, select_probe
 from .rewards import DEFAULT_ALPHA, RolloutOutcome, check_alpha, group_advantages, total_reward
 from .sim import SimTrace, biased_init, build_env, train
-from .spectral import DEFAULT_ENERGY_THRESHOLD, covariance_spectrum, effective_rank
-from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH, norm_rank, windowed_min_effrank
+from .spectral import DEFAULT_ENERGY_THRESHOLD, Spectrum, _centered_eigh, effective_rank
+from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH, _profile, norm_rank
+
+# Not called here since effrank and window-rank score the reader's checked
+# matrix through the private cores, but perfbench/spans.py traces them under
+# rankshape.cli, so the names must keep resolving in this module.
+from .spectral import covariance_spectrum  # noqa: F401
+from .windows import windowed_min_effrank  # noqa: F401
 
 REPORT_HEADER = "alpha,seed,iterations,final_mean_windowed_erank,final_success_rate"
 
@@ -98,16 +104,15 @@ def build_parser() -> _Parser:
 
 def cmd_effrank(args) -> int:
     for name in args.files:
-        H = read_trajectory(name)
-        value = effective_rank(covariance_spectrum(H))
+        # The payload goes in as a temporary, so it is freed once widened.
+        value = effective_rank(Spectrum(_centered_eigh(_read_stored(name)[0])[2]))
         print(json.dumps({"file": name, "effective_rank": value}))
     return 0
 
 
 def cmd_window_rank(args) -> int:
     for name in args.files:
-        H = read_trajectory(name)
-        profile = windowed_min_effrank(H, args.w, args.stride)
+        profile = _profile(_read_stored(name)[0], args.w, args.stride)
         print(json.dumps({
             "file": name,
             "window": profile.window_width,

@@ -62,6 +62,14 @@ def read_trajectory(path) -> np.ndarray:
 
 
 def read_trajectory_with_metadata(path) -> tuple[np.ndarray, dict | None]:
+    H, metadata = _read_stored(path)
+    return H.astype(np.float64, copy=False), metadata
+
+
+def _read_stored(path) -> tuple[np.ndarray, dict | None]:
+    """A trajectory as stored, float32 for HSTB and float64 for CSV, and its
+    metadata. The matrix is checked here, once: it is (T, d) with T, d >= 1
+    and every value finite, so callers need not validate it again."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"no such file: {path}")
@@ -73,7 +81,7 @@ def read_trajectory_with_metadata(path) -> tuple[np.ndarray, dict | None]:
 def _read_hstb(path: Path) -> tuple[np.ndarray, dict | None]:
     """Read an HSTB file in one pass: header, then the float32 payload
     straight into its array (sized against the file length first), then
-    the metadata block."""
+    the metadata block. Returns the finite-checked float32 payload."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < 4 or header[:4] != MAGIC:
@@ -112,7 +120,7 @@ def _read_hstb(path: Path) -> tuple[np.ndarray, dict | None]:
     if not np.isfinite(payload).all():
         r, c = np.argwhere(~np.isfinite(payload))[0]
         raise FileFormatError("non_finite_value", f"non-finite value at row {r}, column {c}")
-    return payload.astype(np.float64), metadata
+    return payload, metadata
 
 
 def text_lines(path):
@@ -207,6 +215,10 @@ def _set_config_key(cfg: RunConfig, key: str, value: str, where: str) -> None:
     if key not in _CONFIG_TYPES:
         accepted = ", ".join(sorted(_CONFIG_TYPES))
         raise ConfigError(f"{where}: unknown key {key!r}; accepted keys: {accepted}")
+    if "#" in value:
+        # A config file cuts each line at "#", so it could not restate this
+        # value, and a run record would not reproduce its own file names.
+        raise ConfigError(f"{where}: key {key}: a value cannot hold '#'")
     setattr(cfg, key, _parse_config_value(key, value, _CONFIG_TYPES[key]))
 
 

@@ -27,7 +27,14 @@ DEFAULT_ENERGY_THRESHOLD = 0.9
 
 
 def validate_trajectory(values) -> np.ndarray:
-    """Coerce to a float64 (T, d) matrix, rejecting non-finite entries."""
+    """Coerce to a float64 (T, d) matrix, rejecting non-finite entries.
+
+    This is the boundary check of the public functions that take a
+    trajectory from a library caller. A matrix read from a file is checked
+    by the reader instead (io._read_stored), and the CLI does not check it
+    again; the cores behind both (_centered_eigh, windows._window_eranks)
+    trust their input.
+    """
     H = np.asarray(values, dtype=np.float64)
     if H.ndim != 2:
         raise InputError(f"trajectory must be 2-D, got shape {H.shape}")
@@ -97,27 +104,36 @@ def _cleanup(vals: np.ndarray) -> np.ndarray:
 
 
 def _centered_eigh(H: np.ndarray, method: str = "auto", vectors: bool = False):
-    """Centre each (T, d) trajectory of H, a (..., T, d) float64 stack, and
-    eigendecompose its "covariance", "gram" or smaller ("auto") matrix.
+    """Centre each (T, d) trajectory of H, a (..., T, d) float32 or float64
+    stack, and eigendecompose its "covariance", "gram" or smaller ("auto")
+    matrix.
 
-    H is not validated here: public callers pass it through
-    validate_trajectory first, and the simulator builds its own finite
-    states. Returns (centered, mean, vals, vecs): per trajectory, the
-    min(T, d) cleaned eigenvalues, descending, and their eigenvectors as
-    columns (None without ``vectors``).
+    H is not validated here: it comes from validate_trajectory, from the
+    CLI's reader (io._read_stored, which checks it) or from the simulator,
+    which builds finite states. It is widened once into a float64 copy that
+    is centred in place; the widening is exact, so float32 input gives the
+    spectrum of its float64 image. Returns (centered, mean, vals, vecs):
+    per trajectory, the min(T, d) cleaned eigenvalues, descending, and their
+    eigenvectors as columns. Without ``vectors``, centered and vecs are
+    None, so the copy is freed before the eigensolve.
     """
-    mean = H.mean(axis=-2)
-    centered = H - mean[..., None, :]
+    if method not in ("auto", "gram", "covariance"):
+        raise InputError(f"unknown spectrum method {method!r}")
+    centered = H.astype(np.float64)
+    # Drop this frame's reference: a payload passed as a temporary (the CLI
+    # passes the reader's result) is then freed before the product.
+    del H
+    mean = centered.mean(axis=-2)
+    centered -= mean[..., None, :]
     T, d = centered.shape[-2:]
     if method == "auto":
         method = "gram" if T < d else "covariance"
     centered_t = np.swapaxes(centered, -1, -2)
-    if method == "gram":
-        M = centered @ centered_t / T
-    elif method == "covariance":
-        M = centered_t @ centered / T
-    else:
-        raise InputError(f"unknown spectrum method {method!r}")
+    M = centered @ centered_t if method == "gram" else centered_t @ centered
+    M /= T
+    del centered_t
+    if not vectors:
+        centered = None
     return (centered, mean) + _top_eigen(M, min(T, d), vectors)
 
 
@@ -179,10 +195,11 @@ def erank_or_floor(spectrum: Spectrum) -> float:
 
 def erank_stack(H: np.ndarray) -> np.ndarray:
     """erank_or_floor of the covariance spectrum of each trajectory in a
-    (..., T, d) float64 stack, from one stacked eigensolve.
+    (..., T, d) float32 or float64 stack, from one stacked eigensolve.
 
-    The stack is trusted to be finite: the simulator builds it, and
-    windowed_min_effrank validates its trajectory before slicing windows.
+    The stack is trusted to be finite: the simulator builds it, and the
+    windows that _window_eranks passes come from a trajectory checked by
+    validate_trajectory or by the reader.
     """
     return _erank_rows(_centered_eigh(H)[2])
 

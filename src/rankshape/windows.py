@@ -89,7 +89,13 @@ def windowed_min_effrank(H, width: int = DEFAULT_WIDTH, stride: int = DEFAULT_ST
     A zero-variance window is maximal collapse and contributes the floor
     value 1.0 rather than raising.
     """
-    starts, eranks, r_max = _score_windows(validate_trajectory(H), width, stride)
+    return _profile(validate_trajectory(H), width, stride)
+
+
+def _profile(H: np.ndarray, width: int, stride: int) -> WindowRankProfile:
+    """windowed_min_effrank of a (T, d) float32 or float64 matrix that is
+    already known to be finite, such as io._read_stored returns."""
+    starts, eranks, r_max = _score_windows(H, width, stride)
     return WindowRankProfile(
         window_width=width,
         stride=stride,
@@ -113,6 +119,13 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     by more than BLOCK_SHIFT_RATIO (a quiet stretch beside busy rows, or a
     constant window) is scored from each window's own centred rows instead,
     through erank_stack, as every block is when w >= d.
+
+    H may be float32 (a trajectory as stored in HSTB) or float64. Each
+    block's rows are widened to float64 before they are centred; the cast
+    is exact, so a float32 trajectory scores as its float64 image does, and
+    a float64 stack is sliced without a copy. H is trusted to be finite:
+    the public entry points take it from validate_trajectory or from the
+    reader, and the simulator builds its own states.
     """
     eranks = np.empty(H.shape[:-2] + (len(starts),))
     offsets = np.arange(w)
@@ -121,17 +134,17 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
         j = int(np.searchsorted(starts, starts[i] + w))
         b0, block = starts[i], starts[i:j] - starts[i]
         rows = block[:, None] + offsets
+        B = H[..., b0:b0 + block[-1] + w, :].astype(np.float64, copy=False)
         own_rows = w >= H.shape[-1]
         if not own_rows:
-            Y = H[..., b0:b0 + block[-1] + w, :]
-            Y = Y - Y.mean(axis=-2, keepdims=True)
+            Y = B - B.mean(axis=-2, keepdims=True)
             G = (Y @ np.swapaxes(Y, -1, -2))[..., rows[:, :, None], rows[:, None, :]]
             shifted = np.trace(G, axis1=-2, axis2=-1)
             G -= G.mean(axis=-1, keepdims=True)
             G -= G.mean(axis=-2, keepdims=True)
             own_rows = np.any(shifted > BLOCK_SHIFT_RATIO * np.trace(G, axis1=-2, axis2=-1))
         if own_rows:
-            eranks[..., i:j] = erank_stack(H[..., b0 + rows, :])
+            eranks[..., i:j] = erank_stack(B[..., rows, :])
         else:
             eranks[..., i:j] = _erank_rows(_top_eigen(G / w, w)[0])
         i = j

@@ -91,6 +91,53 @@ class TestWindowRank:
         assert err.startswith("error [")
 
 
+@pytest.mark.parametrize("T, d, width, stride, quiet, paths", [
+    (200, 96, 32, 8, False, {"gram"}),
+    (120, 16, 32, 8, False, {"own"}),
+    (200, 64, 16, 4, True, {"gram", "own"}),
+    (20, 48, 64, 16, False, {"gram"}),
+], ids=["shared_gram", "own_rows", "constant_stretch", "shorter_than_window"])
+def test_stored_float32_scores_as_its_float64_image(capsys, tmp_path, monkeypatch,
+                                                    T, d, width, stride, quiet, paths):
+    """window-rank and effrank score the float32 payload as stored; their
+    output equals, byte for byte, the float64 library path's. ``paths``
+    names the window scorers each case reaches: the shared block Gram, and
+    each window's own rows (w >= d, or a constant stretch that trips
+    BLOCK_SHIFT_RATIO)."""
+    from rankshape import windows
+
+    H = 300.0 + np.random.default_rng(7).normal(size=(T, d))  # an LLM-like offset
+    if quiet:
+        H[60:100] = H[60]
+    path = tmp_path / "traj.hstb"
+    write_trajectory(path, H)
+    H64 = rankshape.read_trajectory(path)
+    profile = rankshape.windowed_min_effrank(H64, width, stride)
+    expected_window = json.dumps({
+        "file": str(path), "window": width, "stride": stride,
+        "per_window_erank": list(profile.per_window_erank), "min_erank": profile.min_erank,
+        "r_max": profile.r_max, "norm_rank": rankshape.norm_rank(profile)}) + "\n"
+    erank = rankshape.effective_rank(rankshape.covariance_spectrum(H64))
+    expected_effrank = json.dumps({"file": str(path), "effective_rank": erank}) + "\n"
+
+    taken = set()
+
+    def spy(name, tag):
+        original = getattr(windows, name)
+
+        def traced(*args):
+            taken.add(tag)
+            return original(*args)
+        monkeypatch.setattr(windows, name, traced)
+
+    spy("_top_eigen", "gram")
+    spy("erank_stack", "own")
+    assert run_cli(capsys, "window-rank", str(path), "--w", str(width),
+                   "--stride", str(stride)) == (0, expected_window, "")
+    assert taken == paths
+    assert run_cli(capsys, "effrank", str(path)) == (0, expected_effrank, "")
+
+
 class TestReward:
     def test_rewards_per_record(self, capsys, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -309,6 +356,19 @@ class TestSimulateAndReport:
                                "--out", str(tmp_path / "runs"))
         assert code == 1
         assert "accepted keys" in err
+
+    def test_label_with_hash_is_config_error(self, capsys, tmp_path):
+        # A config file cuts lines at "#", so such a label could not be restated.
+        cfg = self.write_config(tmp_path)
+        out_dir = tmp_path / "runs"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                                 "--out", str(out_dir), "--set", "label=a#b")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error [config]:")
+        assert "label" in err
+        assert not out_dir.exists()
 
     def test_overflowing_learning_rate_is_one_error_line(self, tmp_path):
         # A subprocess, so that a numpy warning would reach the real stderr.

@@ -1,8 +1,15 @@
-"""The package's star-import surface."""
+"""The package's star-import surface and its dependencies."""
 
+import ast
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import rankshape
+
+SOURCES = sorted(Path(rankshape.__file__).parent.glob("*.py"))
 
 PUBLIC_NAMES = """
 ConfigError DecouplingSample DegenerateDataError DegenerateLabelsError
@@ -30,3 +37,16 @@ def test_star_import_binds_exactly_the_public_names():
     assert sorted(namespace) == sorted(PUBLIC_NAMES)
     # In particular the rankshape.io submodule cannot shadow the stdlib io.
     assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_only_stdlib_numpy_and_rankshape(path):
+    """pyproject.toml declares numpy as the only dependency."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "rankshape"}
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported - allowed == set()

@@ -1,6 +1,7 @@
 """Property tests: the window scorer against its per-window oracle, the
 stride-1 window minimum, the effective rank's invariances and its two eigen
-paths, group advantages, and the HSTB reader against arbitrary bytes."""
+paths, group advantages, and the HSTB readers (public and as stored)
+against arbitrary bytes."""
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rankshape import (  # noqa: E402
     windowed_min_effrank,
     write_trajectory,
 )
+from rankshape.io import _read_stored  # noqa: E402
 from rankshape.rewards import STD_FLOOR  # noqa: E402
 
 
@@ -147,16 +149,31 @@ def _mangled(valid: bytes):
     )
 
 
+def _outcome(read, path):
+    """(error code and message, None) if ``read(path)`` raises a documented
+    error, else (None, its result)."""
+    try:
+        return None, read(path)
+    except (FileFormatError, InputError) as exc:
+        return (exc.code, str(exc)), None
+
+
 def test_hstb_reader_raises_only_documented_errors(hstb_bytes, tmp_path_factory):
+    """The public reader and the CLI's as-stored reader raise the same
+    documented error on every input, or agree: the public matrix is the
+    stored float32 one widened to float64."""
     path = tmp_path_factory.mktemp("fuzz") / "fuzz.hstb"
 
     @settings(max_examples=500, deadline=None)
     @given(_mangled(hstb_bytes))
     def read(data):
         path.write_bytes(data)
-        try:
-            read_trajectory_with_metadata(path)
-        except (FileFormatError, InputError):
-            pass
+        error, widened = _outcome(read_trajectory_with_metadata, path)
+        stored_error, stored = _outcome(_read_stored, path)
+        assert error == stored_error
+        if error is None:
+            assert stored[0].dtype == np.float32
+            assert widened[0].dtype == np.float64
+            assert np.array_equal(widened[0], stored[0].astype(np.float64))
 
     read()
