@@ -177,7 +177,10 @@ def cmd_advantage(args) -> int:
             rewards = [float(cell) for cell in line.split(",")]
         except ValueError:
             raise InputError(f"unparseable reward on line {lineno}") from None
-        advantages = group_advantages(rewards)
+        try:
+            advantages = group_advantages(rewards)
+        except InputError as exc:  # keeps the class, and so the error code
+            raise type(exc)(f"line {lineno}: {exc}") from None
         print(",".join(f"{a:.6f}" for a in advantages))
     return 0
 
@@ -293,7 +296,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except RankshapeError as exc:
+    except (RankshapeError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = InputError(f"out of memory: {str(exc) or 'allocation failed'}")
         message = " ".join(str(exc).split())
         print(f"error [{exc.code}]: {message}", file=sys.stderr)
         return exc.exit_code

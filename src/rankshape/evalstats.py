@@ -34,22 +34,10 @@ MAX_NEWTON_ITER = 100
 def pass_at_k(n: int, c: int, k: int) -> float:
     """Unbiased pass@k for one problem: 1 - C(n-c, k) / C(n, k).
 
-    Evaluated as a running product of (n-c-i)/(n-i) so no binomial
-    coefficient is ever materialized; exact 1.0 when fewer than k samples
-    are incorrect.
+    The one-problem case of pass_curve: PassCounts checks n and c, and
+    pass_curve checks k.
     """
-    if n < 1:
-        raise RangeError(f"n must be >= 1, got {n}")
-    if not 1 <= k <= n:
-        raise RangeError(f"k must be in [1, {n}], got {k}")
-    if not 0 <= c <= n:
-        raise RangeError(f"c must be in [0, {n}], got {c}")
-    if n - c < k:
-        return 1.0
-    miss = 1.0
-    for i in range(k):
-        miss *= (n - c - i) / (n - i)
-    return 1.0 - miss
+    return pass_curve(PassCounts(n=n, counts=(c,)), [k])[k]
 
 
 @dataclass(frozen=True)
@@ -76,11 +64,23 @@ class PassCounts:
 
 
 def pass_curve(pc: PassCounts, ks) -> dict[int, float]:
-    """Mean pass@k over problems for each requested k."""
+    """Mean unbiased pass@k over problems for each requested k.
+
+    Each problem's 1 - C(n-c, k) / C(n, k) is evaluated as a running product
+    of (n-c-i)/(n-i), for all problems at once, so no binomial coefficient is
+    ever materialized. A problem with fewer than k incorrect samples meets a
+    zero factor and scores exactly 1.0.
+    """
+    wrong = pc.n - np.array(pc.counts)
     result: dict[int, float] = {}
     for k in ks:
         k = int(k)
-        result[k] = float(np.mean([pass_at_k(pc.n, c, k) for c in pc.counts]))
+        if not 1 <= k <= pc.n:
+            raise RangeError(f"k must be in [1, {pc.n}], got {k}")
+        miss = np.ones(pc.problems)
+        for i in range(k):
+            miss *= (wrong - i) / (pc.n - i)
+        result[k] = float(np.mean(1.0 - miss))
     return result
 
 

@@ -139,27 +139,25 @@ def lookahead_manifold(samples, energy_threshold: float = DEFAULT_ENERGY_THRESHO
 def orthogonality_score(probe, basis: ManifoldBasis) -> float:
     """Fraction of the centered probe's norm outside the basis span.
 
-    omega = ||(I - U U^T)(z - mean)|| / (||z - mean|| + DEFAULT_EPS), which lands
-    in [0, 1): 0 for vectors inside the span, just under 1 for vectors
-    orthogonal to it.
+    The one-probe case of select_probe, which defines omega; ProbeSet
+    checks the probe.
     """
-    z = np.asarray(probe, dtype=np.float64)
-    if z.ndim != 1 or z.size != basis.dim:
-        raise InputError(f"probe must be a {basis.dim}-vector, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise InputError("probe contains non-finite values")
-    residual = basis.project_out(z)
-    return float(np.linalg.norm(residual) / (np.linalg.norm(z - basis.mean) + DEFAULT_EPS))
+    return select_probe(ProbeSet(vectors=[probe]), basis).omega
 
 
 def select_probe(probes: ProbeSet, basis: ManifoldBasis) -> ProbeChoice:
-    """Pick the most orthogonal probe; ties go to the lowest index."""
+    """Pick the most orthogonal probe; ties go to the lowest index.
+
+    Each probe z scores omega = ||(I - U U^T)(z - mean)|| / (||z - mean|| +
+    DEFAULT_EPS), which lands in [0, 1): 0 for vectors inside the span, just
+    under 1 for vectors orthogonal to it.
+    """
     if probes.dim != basis.dim:
         raise InputError(f"probes have dimension {probes.dim}, states have {basis.dim}")
-    scores = [orthogonality_score(v, basis) for v in probes.vectors]
-    best = max(scores)
-    index = next(i for i, s in enumerate(scores) if s >= best - TIE_TOLERANCE)
-    return ProbeChoice(index=index, label=probes.labels[index], omega=scores[index])
+    scores = (np.linalg.norm(basis.project_out(probes.vectors), axis=1)
+              / (np.linalg.norm(probes.vectors - basis.mean, axis=1) + DEFAULT_EPS))
+    index = int(np.argmax(scores >= scores.max() - TIE_TOLERANCE))
+    return ProbeChoice(index=index, label=probes.labels[index], omega=float(scores[index]))
 
 
 def plan_stitch(teacher_trace, prefix_length: int, lookahead_states, probes: ProbeSet,

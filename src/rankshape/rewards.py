@@ -104,13 +104,11 @@ class GroupSample:
 def score_group(query_id, outcomes, alpha: float = DEFAULT_ALPHA) -> GroupSample:
     """Apply the rank-aware reward and group standardization to one group."""
     outcomes = tuple(outcomes)
-    if len(outcomes) < 2:
-        raise GroupSizeError("group too small: need at least 2 rollouts")
-    rewards = tuple(total_reward(o, alpha) for o in outcomes)
+    rewards = gated_rewards([o.correct for o in outcomes], [o.norm_rank for o in outcomes], alpha)
     advantages = group_advantages(rewards)
     return GroupSample(
         query_id=str(query_id),
         outcomes=outcomes,
-        rewards=rewards,
+        rewards=tuple(float(r) for r in rewards),
         advantages=tuple(float(a) for a in advantages),
     )

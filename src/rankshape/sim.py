@@ -15,6 +15,7 @@ logits, with the correctness-gated rank reward from the rewards module.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,6 +189,17 @@ class Rollout:
     log_prob: float
 
 
+def _check_draws(draws: int, env: EnvSpec) -> None:
+    """Refuse a group of draws whose float64 states alone exceed the host's
+    physical memory, before anything is drawn."""
+    need = draws * env.horizon * env.d * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise InputError(f"{draws} draws of horizon {env.horizon} and dimension {env.d} need "
+                         f"{need / 2**30:.3g} GiB of states, more than this host's "
+                         f"{have / 2**30:.3g} GiB of memory")
+
+
 def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     """Sample one rollout per seed and run the group's state recurrences together.
 
@@ -227,27 +239,44 @@ def rollout(policy: PolicyParams, env: EnvSpec, seed) -> Rollout:
                    log_prob=float(log_prob[0]))
 
 
+def _group_counts(token_seqs, advantages, vocab: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one check of a group: a (G, T) integer token array with ids in
+    [0, vocab), and exactly G advantages. Returns each rollout's token
+    counts, (G, vocab), and the advantages as an array."""
+    try:
+        tokens = np.asarray(token_seqs)
+    except ValueError:  # numpy refuses ragged sequences
+        raise InputError("a group's token sequences must all have the same length") from None
+    a = np.asarray(advantages, dtype=np.float64)
+    if (tokens.ndim != 2 or not np.issubdtype(tokens.dtype, np.integer)
+            or a.shape != tokens.shape[:1]):
+        raise InputError(f"need a (G, T) integer token array and G advantages, got "
+                         f"{tokens.dtype} tokens of shape {tokens.shape}, advantages {a.shape}")
+    if np.any(tokens < 0) or np.any(tokens >= vocab):
+        raise InputError(f"token ids must be in [0, {vocab})")
+    # Offsetting row i's ids by i * vocab counts every rollout in one bincount.
+    ids = tokens.astype(np.intp) + vocab * np.arange(a.size)[:, None]
+    return np.bincount(ids.ravel(), minlength=a.size * vocab).reshape(a.size, vocab), a
+
+
 def weighted_log_prob(logits, scale: float, token_seqs, advantages) -> float:
-    """sum_i A_i * log pi(tokens_i) with the advantages held fixed."""
+    """sum_i A_i * log pi(tokens_i) with the advantages held fixed, over a
+    group given as a (G, T) token array and G advantages."""
     logits = np.asarray(logits, dtype=np.float64)
-    logp = np.log(_softmax(scale * logits))
-    return float(sum(a * logp[np.asarray(seq)].sum()
-                     for seq, a in zip(token_seqs, advantages)))
+    counts, a = _group_counts(token_seqs, advantages, logits.size)
+    return float(np.sum(a * (counts @ np.log(_softmax(scale * logits)))))
 
 
 def policy_gradient(logits, scale: float, token_seqs, advantages) -> np.ndarray:
-    """Gradient of weighted_log_prob with respect to the logits.
+    """Gradient of weighted_log_prob with respect to the logits, over a
+    group given as a (G, T) token array and G advantages.
 
-    For i.i.d. softmax sampling this is scale * sum_i A_i (counts_i - T_i * p).
+    For i.i.d. softmax sampling this is scale * sum_i A_i (counts_i - T * p).
     """
     logits = np.asarray(logits, dtype=np.float64)
+    counts, a = _group_counts(token_seqs, advantages, logits.size)
     p = _softmax(scale * logits)
-    grad = np.zeros_like(logits)
-    for seq, a in zip(token_seqs, advantages):
-        seq = np.asarray(seq)
-        counts = np.bincount(seq, minlength=logits.size)
-        grad += a * (counts - seq.size * p)
-    return scale * grad
+    return scale * (a[:, None] * (counts - counts.sum(axis=1, keepdims=True) * p)).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -314,6 +343,7 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
         raise InputError(f"iterations must be >= 1, got {iterations}")
     if not 0.0 <= learning_rate < np.inf:
         raise InputError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+    _check_draws(group_size, env)
     width = window if window is not None else min(DEFAULT_WIDTH, env.horizon)
 
     policy = init_policy.copy()
@@ -372,6 +402,7 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
         raise InputError("scales must be strictly ascending")
     if samples_per_scale < 1:
         raise RangeError(f"samples_per_scale must be >= 1, got {samples_per_scale}")
+    _check_draws(samples_per_scale, env)
     means = []
     errors = []
     for j, s in enumerate(scales):
@@ -397,6 +428,7 @@ def geometric_barrier_probe(policy: PolicyParams, env: EnvSpec, delta: float,
         raise RangeError(f"delta must be positive, got {delta}")
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
+    _check_draws(samples, env)
     _, states, _, _ = sample_group(
         policy, env, [np.random.SeedSequence([seed, i]) for i in range(samples)])
     escaped = np.linalg.norm(env.null_component(states[:, -1].T), axis=0) > delta

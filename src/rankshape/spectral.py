@@ -221,9 +221,10 @@ class ManifoldBasis:
         return int(self.directions.shape[0])
 
     def project_out(self, vec) -> np.ndarray:
-        """Component of (vec - mean) orthogonal to the spanned subspace."""
+        """Component of (vec - mean) orthogonal to the spanned subspace, for
+        one d-vector or for each row of a (..., d) array."""
         v = np.asarray(vec, dtype=np.float64) - self.mean
-        return v - self.directions @ (self.directions.T @ v)
+        return v - (v @ self.directions) @ self.directions.T
 
 
 def _count_for_energy(vals: np.ndarray, total: float, threshold: float) -> int:

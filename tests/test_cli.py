@@ -409,6 +409,28 @@ class TestSimulateAndReport:
         assert code == 1
         assert "no run records" in err
 
+    def test_oversized_group_refused_before_training(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "runs"
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out),
+                                    "--set", "group_size=1000000000000")
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error [input]: 1000000000000 draws")
+        assert not list(out.glob("*.csv"))
+
+    def test_memory_error_is_one_input_line(self, capsys, tmp_path, monkeypatch):
+        def build_env(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("rankshape.cli.build_env", build_env)
+        code, stdout, err = run_cli(capsys, "simulate", "--config",
+                                    str(self.write_config(tmp_path)), "--out", str(tmp_path))
+        assert code == 1
+        assert stdout == ""
+        assert err == "error [input]: out of memory: allocation failed\n"
+
 
 class TestArgumentErrors:
     def test_unknown_subcommand_exit_1(self, capsys):
@@ -647,9 +669,12 @@ SAMPLES_HEADER = "eff_rank,entropy,correct\n"
     (["fit-decouple"], SAMPLES_HEADER + "1.0,0.5\n", "dimension_mismatch"),
     (["fit-decouple"], SAMPLES_HEADER + "2.0,0.5,2\n", "bad_value"),
     (["fit-decouple"], SAMPLES_HEADER + "0.5,0.5,1\n", "bad_value"),
+    (["advantage"], "\n5\n", "group_too_small"),
+    (["advantage"], "\n3,nan\n", "input"),
 ], ids=["advantage-bad-reward", "passk-bad-count", "passk-bad-ks", "passk-empty-ks",
         "report-runs-is-a-file", "fit-decouple-empty", "fit-decouple-two-fields",
-        "fit-decouple-correct-2", "fit-decouple-rank-below-1"])
+        "fit-decouple-correct-2", "fit-decouple-rank-below-1", "advantage-one-value-row",
+        "advantage-non-finite-row"])
 def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
     path = tmp_path / "input.csv"
     path.write_text(text)
@@ -658,6 +683,8 @@ def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error [{error_code}]:")
+    if argv == ["advantage"]:  # the bad row is the file's last line
+        assert f"line {len(text.splitlines())}" in err
 
 
 def test_cli_import_loads_no_scipy():

@@ -90,7 +90,28 @@ class TestPassAtK:
             pass_at_k(4, -1, 2)
 
 
+def reference_pass_at_k(n, c, k):
+    """The per-problem running product of earlier versions."""
+    if n - c < k:
+        return 1.0
+    miss = 1.0
+    for i in range(k):
+        miss *= (n - c - i) / (n - i)
+    return 1.0 - miss
+
+
 class TestPassCurve:
+    def test_equals_per_problem_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 80))
+            # Counts near n give problems with n - c < k; k = n is always asked.
+            counts = tuple(int(c) for c in rng.integers(0, n + 1, size=int(rng.integers(1, 30))))
+            ks = sorted({int(k) for k in rng.integers(1, n + 1, size=4)} | {n})
+            curve = pass_curve(PassCounts(n=n, counts=counts), ks)
+            for k in ks:
+                assert curve[k] == float(np.mean([reference_pass_at_k(n, c, k) for c in counts]))
+
     def test_matches_paper_style_aggregate(self):
         # 30 problems, 28 of them solved at least once in 64 samples
         rng = np.random.default_rng(0)

@@ -16,7 +16,7 @@ from rankshape import (
     principal_subspace,
     select_probe,
 )
-from rankshape.probes import LOW_OMEGA_THRESHOLD
+from rankshape.probes import LOW_OMEGA_THRESHOLD, TIE_TOLERANCE
 
 EPS = 1e-8
 
@@ -119,6 +119,31 @@ class TestSelectProbe:
         probes = ProbeSet(np.array([[0.2, 0.1, 0.0, 0.0]]))
         choice = select_probe(probes, basis)
         assert choice.index == 0
+
+    def test_matches_per_probe_reference(self):
+        rng = np.random.default_rng(8)
+        for trial in range(60):
+            d = int(rng.integers(2, 10))
+            basis = principal_subspace(rng.normal(size=(int(rng.integers(3, 20)), d)), 0.8)
+            vectors = rng.normal(size=(int(rng.integers(1, 8)), d))
+            inside = basis.mean + rng.normal(size=(len(vectors), basis.k)) @ basis.directions.T
+            if trial % 3 == 0:
+                vectors = inside                 # every probe inside the span
+            elif trial % 3 == 1:
+                vectors[0] = inside[0]           # one probe inside the span
+            vectors = np.vstack([vectors, vectors[::-1]])   # every row duplicated
+
+            def omega(z):  # the per-probe score of earlier versions
+                c = z - basis.mean
+                r = c - basis.directions @ (basis.directions.T @ c)
+                return np.linalg.norm(r) / (np.linalg.norm(c) + EPS)
+
+            scores = [omega(z) for z in vectors]
+            expected = next(i for i, s in enumerate(scores) if s >= max(scores) - TIE_TOLERANCE)
+            choice = select_probe(ProbeSet(vectors), basis)
+            assert choice.index == expected
+            assert expected < len(vectors) // 2  # of two equal rows, the lower index wins
+            assert choice.omega == pytest.approx(scores[expected], rel=1e-12, abs=1e-15)
 
 
 class TestLookaheadManifold:

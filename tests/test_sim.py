@@ -253,6 +253,41 @@ class TestPolicyGradient:
         rhs = -weighted_log_prob(logits, 1.0, seqs, adv) / 4.0
         assert abs(lhs - rhs) < 1e-12
 
+    def test_equals_per_rollout_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            V = int(rng.integers(2, 40))
+            G = int(rng.integers(1, 12))
+            T = int(rng.integers(1, 40))
+            logits = rng.normal(size=V)
+            scale = float(rng.uniform(0.5, 2.0))
+            tokens = rng.integers(0, V, size=(G, T))
+            adv = rng.normal(size=G)
+            # The per-rollout loop of earlier versions, as the reference.
+            p = PolicyParams(logits, scale).probs()
+            grad = np.zeros(V)
+            for seq, a in zip(tokens, adv):
+                grad += a * (np.bincount(seq, minlength=V) - seq.size * p)
+            npt.assert_array_equal(policy_gradient(logits, scale, tokens, adv), scale * grad)
+            weighted = sum(a * np.log(p)[seq].sum() for seq, a in zip(tokens, adv))
+            npt.assert_allclose(weighted_log_prob(logits, scale, tokens, adv), weighted,
+                                rtol=1e-12)
+
+    @pytest.mark.parametrize("tokens, adv, match", [
+        ([[0, 1], [1, 2]], [1.0], r"advantages \(1,\)"),
+        ([[0, 1], [1, 2]], [1.0, 2.0, 3.0], r"advantages \(3,\)"),
+        ([[0, 1], [1]], [1.0, 2.0], "same length"),
+        ([[0, -1], [1, 2]], [1.0, 2.0], r"token ids must be in \[0, 3\)"),
+        ([[0, 1], [1, 3]], [1.0, 2.0], r"token ids must be in \[0, 3\)"),
+        ([0, 1, 2], [1.0], r"shape \(3,\)"),
+        ([[0.0, 1.0]], [1.0], "float64 tokens"),
+    ], ids=["too-few-advantages", "too-many-advantages", "ragged", "negative-id",
+            "id-at-vocab", "one-dimensional", "float-tokens"])
+    @pytest.mark.parametrize("fn", [policy_gradient, weighted_log_prob])
+    def test_malformed_group_rejected(self, fn, tokens, adv, match):
+        with pytest.raises(InputError, match=match):
+            fn(np.zeros(3), 1.0, tokens, adv)
+
 
 class TestTrain:
     def test_zero_learning_rate_keeps_policy(self):
@@ -319,6 +354,20 @@ SEED_ENTRY_POINTS = {
     "geometric_barrier_probe": lambda env, seed: geometric_barrier_probe(
         biased_init(env), env, 0.3, 2, seed=seed),
 }
+
+
+DRAW_ENTRY_POINTS = {
+    "train": lambda env, n: train(env, biased_init(env), alpha=0.5, group_size=n),
+    "temperature_sweep": lambda env, n: temperature_sweep(biased_init(env), env, [1.0], n),
+    "geometric_barrier_probe": lambda env, n: geometric_barrier_probe(
+        biased_init(env), env, 0.3, n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DRAW_ENTRY_POINTS))
+def test_draws_beyond_physical_memory_refused(entry):
+    with pytest.raises(InputError, match="^1000000000000 draws of horizon 32 and dimension 16"):
+        DRAW_ENTRY_POINTS[entry](build_env(0), 10**12)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
