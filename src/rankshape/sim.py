@@ -88,6 +88,17 @@ def _check_seed(seed) -> None:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _check_memory(floats: int, request: str, arrays: str) -> None:
+    """The simulator's one memory rule: refuse a request whose float64 arrays
+    alone exceed the host's physical memory, before anything is drawn.
+    ``request`` names it up to its verb; ``arrays`` says what the bytes hold."""
+    need = floats * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise InputError(f"{request} {need / 2**30:.3g} GiB {arrays}, more than this "
+                         f"host's {have / 2**30:.3g} GiB of memory")
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(v)
     if norm == 0.0:
@@ -104,7 +115,8 @@ def build_env(seed: int, d: int = RunConfig.dim, vocab: int = RunConfig.vocab,
     The orthogonal frame comes from the QR of a seeded Gaussian matrix;
     its first bias_dim columns span the bias subspace, the rest the
     complement holding the target u_star. The same seed gives a
-    bit-identical environment.
+    bit-identical environment. A d x d frame the host cannot hold is
+    refused before anything is drawn.
     """
     _check_seed(seed)
     if not 1 <= bias_dim < d:
@@ -117,6 +129,7 @@ def build_env(seed: int, d: int = RunConfig.dim, vocab: int = RunConfig.vocab,
         raise InputError(f"decay must be in [0, 1), got {decay}")
     if not 0.0 < tau <= 1.0:
         raise InputError(f"tau must be in (0, 1], got {tau}")
+    _check_memory(d * d, f"dimension {d} needs", f"for its {d} x {d} frame")
 
     rng = np.random.default_rng(seed)
     frame, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -192,22 +205,22 @@ class Rollout:
 def _check_draws(draws: int, env: EnvSpec) -> None:
     """Refuse a group of draws whose float64 states alone exceed the host's
     physical memory, before anything is drawn."""
-    need = draws * env.horizon * env.d * 8
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise InputError(f"{draws} draws of horizon {env.horizon} and dimension {env.d} need "
-                         f"{need / 2**30:.3g} GiB of states, more than this host's "
-                         f"{have / 2**30:.3g} GiB of memory")
+    _check_memory(draws * env.horizon * env.d,
+                  f"{draws} draws of horizon {env.horizon} and dimension {env.d} need", "of states")
 
 
 def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     """Sample one rollout per seed and run the group's state recurrences together.
 
     Each seed is anything numpy's default_rng accepts (int, SeedSequence,
-    Generator); rollout i draws its horizon tokens i.i.d. from its own
-    generator, so it does not depend on the rest of the group. The leaky
-    recurrence then runs once over the (G, d) group state. Correctness: the
-    normalized final state's projection on u_star reaches tau.
+    Generator); rollout i draws horizon uniforms from its own generator, so
+    it does not depend on the rest of the group. Tokens come from the
+    policy's inverse CDF: one searchsorted maps the (G, horizon) block of
+    uniforms to token ids. This is what Generator.choice(vocab, p=probs)
+    does inside, so the tokens equal its draws, draw for draw. The leaky
+    recurrence then runs time-major, one (G, d) group state per step.
+    Correctness: the normalized final state's projection on u_star reaches
+    tau.
 
     Returns (tokens, states, correct, log_prob) with shapes (G, horizon),
     (G, horizon, d), (G,) and (G,).
@@ -215,15 +228,18 @@ def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     if policy.logits.size != env.vocab:
         raise InputError(
             f"policy has {policy.logits.size} logits for a {env.vocab}-token vocabulary")
+    seeds = list(seeds)
+    if not seeds:
+        raise InputError("cannot sample an empty group: no seeds given")
     p = policy.probs()
-    tokens = np.array([np.random.default_rng(s).choice(env.vocab, size=env.horizon, p=p)
-                       for s in seeds])
-    steps = env.directions[tokens]
-    states = np.empty_like(steps)
-    h = np.zeros_like(steps[:, 0])
-    for t in range(env.horizon):
-        h = env.decay * h + steps[:, t]
-        states[:, t] = h
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = np.array([np.random.default_rng(s).random(env.horizon) for s in seeds])
+    tokens = cdf.searchsorted(u, side="right")
+    steps = env.directions[tokens.T]  # (horizon, G, d): each step one contiguous block
+    for t in range(1, env.horizon):
+        steps[t] += env.decay * steps[t - 1]
+    states = np.ascontiguousarray(steps.swapaxes(0, 1))
     final = states[:, -1]
     norm = np.linalg.norm(final, axis=-1)
     cosine = (final @ env.u_star) / np.where(norm > 0.0, norm, 1.0)

@@ -420,6 +420,17 @@ class TestSimulateAndReport:
         assert err.startswith("error [input]: 1000000000000 draws")
         assert not list(out.glob("*.csv"))
 
+    def test_oversized_env_refused_before_drawing(self, capsys, tmp_path):
+        out = tmp_path / "runs"
+        code, stdout, err = run_cli(capsys, "simulate", "--config",
+                                    str(self.write_config(tmp_path)), "--out", str(out),
+                                    "--set", "dim=100000")
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error [input]: dimension 100000 needs")
+        assert not out.exists()
+
     def test_memory_error_is_one_input_line(self, capsys, tmp_path, monkeypatch):
         def build_env(*args, **kwargs):
             raise MemoryError()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,38 @@ class TestSampleGroup:
         assert r.log_prob == log_prob[0]
 
 
+def test_tokens_equal_generator_choice():
+    """Over 3,000 random policies, at several vocab sizes and horizons and with
+    logits from flat to peaked enough that softmax underflows to exact zeros,
+    sample_group's tokens are Generator.choice's draws."""
+    rng = np.random.default_rng(2024)
+    envs = [build_env(s, d=4, vocab=vocab, bias_dim=2, n_null=1, horizon=horizon)
+            for s, (vocab, horizon) in enumerate([(2, 1), (2, 9), (3, 1), (5, 4), (32, 32),
+                                                  (64, 3)])]
+    zeros_seen = 0
+    for _ in range(3000):
+        env = envs[int(rng.integers(len(envs)))]
+        scale = float(rng.choice([0.01, 1.0, 10.0, 300.0, 3000.0]))
+        policy = PolicyParams(scale * rng.normal(size=env.vocab))
+        p = policy.probs()
+        seeds = [int(rng.integers(2**32)) if rng.random() < 0.5
+                 else np.random.SeedSequence([int(rng.integers(2**32)), i])
+                 for i in range(int(rng.integers(1, 4)))]
+        tokens, _, _, _ = sample_group(policy, env, seeds)
+        for row, seed in zip(tokens, seeds):
+            expected = np.random.default_rng(seed).choice(env.vocab, size=env.horizon, p=p)
+            assert np.array_equal(row, expected)
+        assert np.all(p[tokens] > 0.0)
+        zeros_seen += int(np.any(p == 0.0))
+    assert zeros_seen > 100
+
+
+def test_empty_seed_list_refused():
+    env = build_env(0)
+    with pytest.raises(InputError, match="empty group"):
+        sample_group(biased_init(env), env, [])
+
+
 class TestPolicyGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -368,6 +401,18 @@ DRAW_ENTRY_POINTS = {
 def test_draws_beyond_physical_memory_refused(entry):
     with pytest.raises(InputError, match="^1000000000000 draws of horizon 32 and dimension 16"):
         DRAW_ENTRY_POINTS[entry](build_env(0), 10**12)
+
+
+def test_env_frame_beyond_physical_memory_refused():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="^dimension 100000 needs 74.5 GiB for its "
+                                             "100000 x 100000 frame"):
+            build_env(0, d=100000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
