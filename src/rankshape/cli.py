@@ -240,16 +240,26 @@ def cmd_simulate(args) -> int:
     stem = (f"{cfg.label}_" if cfg.label else "") + f"alpha{cfg.alpha:g}_seed{cfg.train_seed}"
     trace_path = out / f"{stem}.csv"
     config_path = out / f"{stem}.json"
-    with _writing(out):  # before training, so an unwritable output fails fast
-        out.mkdir(parents=True, exist_ok=True)
-        if not trace_path.parent.is_dir():  # a label holding "/"
-            raise InputError(f"cannot write {trace_path}: no directory {trace_path.parent}")
-    if cfg.verbose:
-        print(f"training: alpha={cfg.alpha:g} seed={cfg.train_seed} "
-              f"iterations={cfg.iterations}", file=sys.stderr)
-    trace = train(env, policy, alpha=cfg.alpha, group_size=cfg.group_size,
-                  iterations=cfg.iterations, learning_rate=cfg.learning_rate,
-                  seed=cfg.train_seed, window=cfg.window, stride=cfg.stride)
+    # Deepest first. os.path.exists, unlike Path.exists, never raises.
+    made = [d for d in (out, *out.parents) if not os.path.exists(d)]
+    try:
+        with _writing(out):  # before training, so an unwritable output fails fast
+            out.mkdir(parents=True, exist_ok=True)
+            if not trace_path.parent.is_dir():  # a label holding "/"
+                raise InputError(f"cannot write {trace_path}: no directory {trace_path.parent}")
+        if cfg.verbose:
+            print(f"training: alpha={cfg.alpha:g} seed={cfg.train_seed} "
+                  f"iterations={cfg.iterations}", file=sys.stderr)
+        trace = train(env, policy, alpha=cfg.alpha, group_size=cfg.group_size,
+                      iterations=cfg.iterations, learning_rate=cfg.learning_rate,
+                      seed=cfg.train_seed, window=cfg.window, stride=cfg.stride)
+    except BaseException:
+        # A refused run leaves no directory behind: take back the ones made
+        # above. rmdir removes only an empty directory.
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     with _writing(out):
         trace.to_csv(trace_path)
         config_path.write_text(json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2)

@@ -16,6 +16,7 @@ import math
 import os
 import struct
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,37 @@ def text_lines(path):
 
 
 def _read_csv(path: Path) -> np.ndarray:
+    """Parse with numpy's C reader. If it refuses the file, or the file is
+    empty or holds a non-finite value, the per-cell reader reads it again:
+    it names the failing row and column, reads the spellings only float()
+    accepts (``1_0``, non-ASCII digits), and reports a non-UTF-8 byte only
+    if no earlier cell fails (numpy reads the whole file before it looks
+    for non-finite values)."""
+    try:
+        with warnings.catch_warnings():
+            # An empty file is reported by the per-cell reader instead.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            H = np.loadtxt(_loadtxt_lines(path), delimiter=",", quotechar='"', comments=None,
+                           ndmin=2, dtype=np.float64)
+    except (ValueError, InputError):
+        pass
+    else:
+        if H.size and np.isfinite(H).all():
+            return H
+    return _read_csv_cells(path)
+
+
+def _loadtxt_lines(path: Path):
+    """text_lines for np.loadtxt, refusing a line with an ASCII information
+    separator (\\x1c-\\x1f): numpy strips one next to a number as
+    whitespace, float() does not."""
+    for line in text_lines(path):
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("ASCII information separator in a CSV line")
+        yield line
+
+
+def _read_csv_cells(path: Path) -> np.ndarray:
     """Rows and columns are named by 0-based index; blank lines count as rows."""
     rows = []
     for r, line in enumerate(csv.reader(text_lines(path))):

@@ -431,6 +431,27 @@ class TestSimulateAndReport:
         assert err.startswith("error [input]: dimension 100000 needs")
         assert not out.exists()
 
+    @pytest.mark.parametrize("override",
+                             ["alpha=nan", "window=1", "group_size=1", "iterations=0"])
+    def test_refused_run_leaves_no_output_directory(self, capsys, tmp_path, override):
+        out = tmp_path / "runs" / "nested"
+        code, stdout, err = run_cli(capsys, "simulate", "--config",
+                                    str(self.write_config(tmp_path)), "--out", str(out),
+                                    "--set", override)
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+        assert not out.parent.exists()
+
+    def test_refused_run_keeps_an_existing_output_directory(self, capsys, tmp_path):
+        out = tmp_path / "runs"
+        out.mkdir()
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(self.write_config(tmp_path)),
+                             "--out", str(out), "--set", "alpha=nan")
+        assert code == 1
+        assert out.is_dir() and not list(out.iterdir())
+
     def test_memory_error_is_one_input_line(self, capsys, tmp_path, monkeypatch):
         def build_env(*args, **kwargs):
             raise MemoryError()
@@ -696,6 +717,23 @@ def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
     assert err.startswith(f"error [{error_code}]:")
     if argv == ["advantage"]:  # the bad row is the file's last line
         assert f"line {len(text.splitlines())}" in err
+
+
+@pytest.mark.parametrize("name, text", [("empty.csv", ""), ("blanks.csv", "\n\r\n\n")],
+                         ids=["empty", "blanks"])
+def test_empty_csv_is_one_error_line(tmp_path, name, text):
+    # A subprocess, so that numpy's "input contained no data" warning would
+    # reach the real stderr.
+    path = tmp_path / name
+    path.write_text(text, newline="")
+    src = str(Path(rankshape.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "rankshape.cli", "effrank", str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error [dimension_mismatch]: empty trajectory file: {path}\n"
 
 
 def test_cli_import_loads_no_scipy():

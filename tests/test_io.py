@@ -1,4 +1,5 @@
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -229,6 +230,51 @@ class TestCsvTrajectories:
     def test_csv_cannot_carry_metadata(self, tmp_path):
         with pytest.raises(InputError):
             write_trajectory(tmp_path / "traj.csv", [[1.0]], metadata={"a": 1})
+
+    # Awkward files and what the per-cell reader made of each before numpy
+    # parsed CSV: the matrix, or the error code and message.
+    AWKWARD = {
+        "underscore": (b"1_0,2\n", [[10.0, 2.0]]),
+        "arabic_indic_digit": ("\u0661,2\n".encode(), [[1.0, 2.0]]),
+        "blank_line_1_column": (b"1\n \t\n2\n",
+                                ("bad_value", "unparseable value at row 1, column 0")),
+        "blank_line_2_columns": (b"1,2\n  \n3,4\n",
+                                 ("dimension_mismatch", "row 1 has 1 columns, expected 2")),
+        "trailing_comma": (b"1,2,\n3,4,\n", ("bad_value", "unparseable value at row 0, column 2")),
+        "empty_quotes": (b'1,""\n', ("bad_value", "unparseable value at row 0, column 1")),
+        "lone_quote": (b'1\n"\n', ("bad_value", "unparseable value at row 1, column 0")),
+        "utf8_bom": (b"\xef\xbb\xbf1,2\n", ("bad_value", "unparseable value at row 0, column 0")),
+        "hash_comment": (b"1\n2 # c\n", ("bad_value", "unparseable value at row 1, column 0")),
+        "overflow": (b"1,2\n3,1e400\n",
+                     ("non_finite_value", "non-finite value at row 1, column 1")),
+        "negative_underflow": (b"-1e-400,1\n", [[-0.0, 1.0]]),
+        "ragged_after_blank": (b"1,2\n\n3,4\n5\n",
+                               ("dimension_mismatch", "row 3 has 1 columns, expected 2")),
+        "blank_lines_only": (b"\n\r\n\n", ("dimension_mismatch", "empty trajectory file: {path}")),
+        "not_utf8": (b"1,2\n\xff\n", ("input", "not UTF-8 text: {path}: invalid start byte")),
+        # numpy reads past the non-finite cell before it meets the bad byte.
+        "non_finite_before_not_utf8": (b"1\n" * 100 + b"nan\n" + b"1\n" * 10000 + b"\xff\n",
+                                       ("non_finite_value", "non-finite value at row 100, column 0")),
+        "information_separator": (b"1,2\x1e\n", ("bad_value", "unparseable value at row 0, column 1")),
+    }
+    if sys.version_info >= (3, 11):  # the csv module refuses NUL before 3.11
+        AWKWARD["nul_byte"] = (b"1,2\x00\n", ("bad_value", "unparseable value at row 0, column 1"))
+
+    @pytest.mark.parametrize("name", sorted(AWKWARD))
+    def test_awkward_file_reads_as_before(self, tmp_path, name):
+        data, expected = self.AWKWARD[name]
+        path = tmp_path / "traj.csv"
+        path.write_bytes(data)
+        if isinstance(expected, list):
+            H = read_trajectory(path)
+            want = np.array(expected)
+            assert H.dtype == np.float64 and H.shape == want.shape
+            assert np.array_equal(H.view(np.int64), want.view(np.int64))
+        else:
+            with pytest.raises(InputError) as info:
+                read_trajectory(path)
+            assert (info.value.code, str(info.value)) == (expected[0],
+                                                          expected[1].format(path=path))
 
 
 class TestRunConfig:

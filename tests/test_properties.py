@@ -1,7 +1,11 @@
 """Property tests: the window scorer against its per-window oracle, the
 stride-1 window minimum, the effective rank's invariances and its two eigen
 paths, group advantages, and the HSTB readers (public and as stored)
-against arbitrary bytes."""
+against arbitrary bytes, and the CSV reader against the per-cell reader it
+replaced."""
+
+import csv
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from rankshape import (  # noqa: E402
     effective_rank,
     erank_or_floor,
     group_advantages,
+    read_trajectory,
     read_trajectory_with_metadata,
     stacked_min_effrank,
     windowed_min_effrank,
@@ -177,3 +182,112 @@ def test_hstb_reader_raises_only_documented_errors(hstb_bytes, tmp_path_factory)
             assert np.array_equal(widened[0], stored[0].astype(np.float64))
 
     read()
+
+
+def _csv_oracle(path):
+    """The per-cell CSV reader numpy's C reader replaced: csv.reader cells
+    through float(), named by CSV row index (blank lines count)."""
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        for r, line in enumerate(csv.reader(fh)):
+            if not line:
+                continue
+            if rows and len(line) != len(rows[0]):
+                raise FileFormatError(
+                    "dimension_mismatch",
+                    f"row {r} has {len(line)} columns, expected {len(rows[0])}")
+            parsed = []
+            for c, cell in enumerate(line):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise FileFormatError(
+                        "bad_value", f"unparseable value at row {r}, column {c}") from None
+                if not math.isfinite(value):
+                    raise FileFormatError(
+                        "non_finite_value", f"non-finite value at row {r}, column {c}")
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows:
+        raise FileFormatError("dimension_mismatch", f"empty trajectory file: {path}")
+    return np.array(rows, dtype=np.float64)
+
+
+# Finite float64 values, with ±0, subnormals and values near 1e308 always in reach.
+_FLOAT64 = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308, 9.999999999999999e307]))
+
+
+def _rarely(draw, odds):
+    return draw(st.integers(0, odds - 1)) == 0
+
+
+@st.composite
+def _csv_cells(draw):
+    """One CSV cell: a float64 in some spelling float() accepts, now and
+    then one it refuses or a non-finite one, padded and maybe quoted."""
+    x = draw(_FLOAT64)
+    text = draw(st.sampled_from([repr(x), f"{x:.9g}", f"{x:e}", f"+{abs(x)!r}"]))
+    if _rarely(draw, 60):
+        text = draw(st.sampled_from(["nan", "-inf", "1e400", "abc", "", "+-1", "1_0", "١"]))
+
+    def pad():
+        if _rarely(draw, 60):  # numpy strips \x1c and \x1f, float() refuses them
+            return draw(st.sampled_from(["\x1c", "\x1f", "\xa0"]))
+        return draw(st.sampled_from(["", "", " ", "\t", " \t "]))
+
+    text = pad() + text + pad()
+    if draw(st.booleans()):
+        text = '"' + text + '"'
+    return pad() + text if _rarely(draw, 30) else text
+
+
+@st.composite
+def _csv_tables(draw):
+    """CSV text: rows of cells (now and then one ragged), ended by \\n, \\r\\n
+    or \\r, with blank lines between them."""
+    cols = draw(st.integers(1, 4))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        width = draw(st.integers(1, 5)) if _rarely(draw, 30) else cols
+        lines.append(",".join(draw(st.lists(_csv_cells(), min_size=width, max_size=width))))
+        lines.extend([""] * draw(st.integers(0, 2)))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def test_csv_reader_matches_per_cell_oracle(tmp_path_factory):
+    """read_trajectory on a .csv gives the per-cell reader's matrix bit for
+    bit, or its error code and message."""
+    path = tmp_path_factory.mktemp("csv") / "fuzz.csv"
+
+    @settings(max_examples=500, deadline=None)
+    @given(_csv_tables())
+    def read(text):
+        path.write_text(text, encoding="utf-8", newline="")
+        error, H = _outcome(read_trajectory, path)
+        want_error, want = _outcome(_csv_oracle, path)
+        assert error == want_error
+        if error is None:
+            assert H.dtype == np.float64 and H.shape == want.shape
+            assert np.array_equal(H.view(np.int64), want.view(np.int64))
+
+    read()
+
+
+def test_csv_round_trip_bit_exact(tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "round.csv"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda d: st.lists(st.lists(_FLOAT64, min_size=d, max_size=d), min_size=1, max_size=6)))
+    def round_trip(rows):
+        H = np.array(rows, dtype=np.float64)
+        write_trajectory(path, H)
+        back = read_trajectory(path)
+        assert back.shape == H.shape
+        assert np.array_equal(back.view(np.int64), H.view(np.int64))
+
+    round_trip()
