@@ -25,7 +25,6 @@ from .evalstats import (
     PassCounts,
     fit_decoupling_logit,
     load_decoupling_csv,
-    mean_token_entropy,
     pass_at_k,
     pass_curve,
 )
@@ -48,12 +47,9 @@ from .probes import (
     select_probe,
 )
 from .rewards import (
-    GroupSample,
     RolloutOutcome,
     gated_rewards,
     group_advantages,
-    grpo_objective,
-    score_group,
     total_reward,
 )
 from .sim import (
@@ -75,8 +71,6 @@ from .sim import (
 from .spectral import (
     ManifoldBasis,
     Spectrum,
-    center,
-    confinement_ratio,
     covariance_spectrum,
     effective_rank,
     erank_or_floor,

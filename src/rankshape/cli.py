@@ -17,8 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InputError, RankshapeError
 from .evalstats import PassCounts, fit_decoupling_logit, load_decoupling_csv, pass_curve
 from .io import _read_stored, apply_overrides, load_run_config, read_trajectory, text_lines

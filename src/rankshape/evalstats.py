@@ -1,6 +1,6 @@
-"""Evaluation statistics: exact pass@k curves, token-entropy aggregation,
-and the logistic fit separating trajectory rank from predictive entropy as
-predictors of correctness.
+"""Evaluation statistics: exact pass@k curves and the logistic fit
+separating trajectory rank from predictive entropy as predictors of
+correctness.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateDataError,
     DegenerateLabelsError,
     FileFormatError,
     InputError,
@@ -20,7 +21,6 @@ from .errors import (
     SeparableDataError,
 )
 from .io import text_lines
-from .spectral import entropy_rows
 
 DECOUPLING_CSV_HEADER = ("eff_rank", "entropy", "correct")
 
@@ -84,21 +84,6 @@ def pass_curve(pc: PassCounts, ks) -> dict[int, float]:
     return result
 
 
-def mean_token_entropy(step_distributions) -> float:
-    """Mean over steps of the Shannon entropy (nats) of each distribution."""
-    dists = [np.asarray(p, dtype=np.float64) for p in step_distributions]
-    if not dists:
-        raise InputError("need at least one step distribution")
-    entropies = []
-    for i, p in enumerate(dists):
-        if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < 0.0):
-            raise InputError(f"malformed distribution at step {i}")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise InputError(f"malformed distribution at step {i}: sums to {p.sum():.12g}")
-        entropies.append(float(entropy_rows(p)))
-    return float(np.mean(entropies))
-
-
 @dataclass(frozen=True)
 class DecouplingSample:
     """One rollout's effective rank, mean token entropy, and verdict."""
@@ -139,7 +124,8 @@ def fit_decoupling_logit(samples) -> LogitFit:
     Newton/IRLS steps run until the log-likelihood gradient norm drops
     below GRADIENT_TOL. Standard errors come from the inverse observed
     information at the optimum; p-values are two-sided normal. Raises on
-    single-class labels and on coefficient divergence (perfect separation).
+    single-class labels, on coefficient divergence (perfect separation) and
+    on collinear features.
     """
     samples = list(samples)
     if len(samples) < 20:
@@ -157,23 +143,32 @@ def fit_decoupling_logit(samples) -> LogitFit:
     beta = np.zeros(3)
     converged = False
     iterations = 0
-    for iterations in range(1, MAX_NEWTON_ITER + 1):
-        p = _sigmoid(X @ beta)
-        grad = X.T @ (y - p)
-        if np.linalg.norm(grad) < GRADIENT_TOL:
-            converged = True
-            break
-        w = np.maximum(p * (1.0 - p), 1e-12)
-        hessian = X.T @ (X * w[:, None])
-        beta = beta + np.linalg.solve(hessian, grad)
-        if np.linalg.norm(beta) > COEF_BOUND:
-            raise SeparableDataError(
-                "separable data: coefficients diverged, Wald inference is meaningless")
+    try:
+        for iterations in range(1, MAX_NEWTON_ITER + 1):
+            p = _sigmoid(X @ beta)
+            grad = X.T @ (y - p)
+            if np.linalg.norm(grad) < GRADIENT_TOL:
+                converged = True
+                break
+            w = np.maximum(p * (1.0 - p), 1e-12)
+            hessian = X.T @ (X * w[:, None])
+            beta = beta + np.linalg.solve(hessian, grad)
+            if np.linalg.norm(beta) > COEF_BOUND:
+                raise SeparableDataError(
+                    "separable data: coefficients diverged, Wald inference is meaningless")
 
-    p = _sigmoid(X @ beta)
-    w = np.maximum(p * (1.0 - p), 1e-12)
-    covariance = np.linalg.inv(X.T @ (X * w[:, None]))
-    se = np.sqrt(np.diag(covariance))
+        p = _sigmoid(X @ beta)
+        w = np.maximum(p * (1.0 - p), 1e-12)
+        variances = np.diag(np.linalg.inv(X.T @ (X * w[:, None])))
+    except np.linalg.LinAlgError:
+        variances = np.full(3, np.nan)
+    # Collinear features make the information matrix singular: the solve or
+    # the inverse fails, or rounding leaves a variance that is not positive.
+    if not np.all(variances > 0.0):
+        raise DegenerateDataError(
+            "collinear features eff_rank and entropy: one is an affine function of "
+            "the other, so their effects cannot be separated")
+    se = np.sqrt(variances)
     return LogitFit(
         beta0=float(beta[0]),
         beta_r=float(beta[1]),

@@ -1,5 +1,5 @@
-"""Correctness-gated rank rewards, group-relative advantages, and the
-group-normalized policy-gradient objective.
+"""Correctness-gated rank rewards and group-relative advantages: the
+reward and advantage half of the GRPO group step (sim.train runs it).
 
 The reward never pays for rank alone: an incorrect rollout scores exactly
 zero whatever its geometry, and a correct one earns 1 plus a bounded rank
@@ -67,48 +67,3 @@ def group_advantages(rewards) -> np.ndarray:
     if std < STD_FLOOR:
         return np.zeros_like(r)
     return (r - r.mean()) / std
-
-
-def grpo_objective(advantages, log_probs) -> float:
-    """Negative advantage-weighted mean log-probability over a group.
-
-    Advantages enter as fixed weights (they are not differentiated);
-    minimizing the value moves probability toward positive-advantage
-    rollouts. There is no KL term and no ratio clipping.
-    """
-    a = np.asarray(advantages, dtype=np.float64)
-    lp = np.asarray(log_probs, dtype=np.float64)
-    if a.ndim != 1 or a.shape != lp.shape:
-        raise InputError("advantages and log_probs must be 1-D and equal length")
-    if a.size == 0:
-        raise InputError("empty group")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(lp))):
-        raise InputError("advantages and log_probs must be finite")
-    return float(-(a * lp).mean())
-
-
-@dataclass(frozen=True)
-class GroupSample:
-    """One query's rollouts with their rewards and standardized advantages."""
-
-    query_id: str
-    outcomes: tuple[RolloutOutcome, ...]
-    rewards: tuple[float, ...]
-    advantages: tuple[float, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.outcomes)
-
-
-def score_group(query_id, outcomes, alpha: float = DEFAULT_ALPHA) -> GroupSample:
-    """Apply the rank-aware reward and group standardization to one group."""
-    outcomes = tuple(outcomes)
-    rewards = gated_rewards([o.correct for o in outcomes], [o.norm_rank for o in outcomes], alpha)
-    advantages = group_advantages(rewards)
-    return GroupSample(
-        query_id=str(query_id),
-        outcomes=outcomes,
-        rewards=tuple(float(r) for r in rewards),
-        advantages=tuple(float(a) for a in advantages),
-    )

@@ -45,23 +45,11 @@ def validate_trajectory(values) -> np.ndarray:
     return H
 
 
-def center(H) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the mean row; returns (centered, mean)."""
-    H = validate_trajectory(H)
-    mean = H.mean(axis=0)
-    return H - mean, mean
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """Descending eigenvalues of a trajectory's centered covariance.
-
-    ``mean`` carries the row mean of the source trajectory when the
-    spectrum came from one; hand-built spectra may leave it None.
-    """
+    """Descending eigenvalues of a trajectory's centered covariance."""
 
     eigenvalues: np.ndarray
-    mean: np.ndarray | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -156,8 +144,7 @@ def covariance_spectrum(H, method: str = "auto") -> Spectrum:
     (see _centered_eigh). A trajectory with a single row has zero centered
     variance and yields the zero spectrum.
     """
-    _, mean, vals, _ = _centered_eigh(validate_trajectory(H), method)
-    return Spectrum(vals, mean)
+    return Spectrum(_centered_eigh(validate_trajectory(H), method)[2])
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -258,11 +245,3 @@ def principal_subspace(H, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD) ->
         directions = vecs[:, :k]
     captured = float(vals[:k].sum() / total)
     return ManifoldBasis(mean=mean, directions=directions, captured_energy=captured)
-
-
-def confinement_ratio(spectrum: Spectrum, k: int) -> float:
-    """Fraction of eigenvalue mass held by the top k components."""
-    m = spectrum.eigenvalues.size
-    if not 1 <= k <= m:
-        raise InputError(f"k must be in [1, {m}], got {k}")
-    return float(spectrum.probs[:k].sum())

@@ -244,6 +244,8 @@ class TestCollapseCriteria:
     def test_boundary_expansion(self, training_runs):
         runs, _ = training_runs
         improved = 0
+        ties = 0
+        margins = []
         for pair_index, (env, plain, shaped) in enumerate(runs):
             counts = {}
             for label, trace in (("plain", plain), ("shaped", shaped)):
@@ -252,10 +254,16 @@ class TestCollapseCriteria:
                             np.random.SeedSequence([7000, pair_index, i])).correct
                     for i in range(64))
                 counts[label] = correct
-            if pass_at_k(64, counts["shaped"], 16) >= pass_at_k(64, counts["plain"], 16):
+            plain16 = pass_at_k(64, counts["plain"], 16)
+            shaped16 = pass_at_k(64, counts["shaped"], 16)
+            margins.append(f"{plain16:.4f}->{shaped16:.4f}")
+            ties += shaped16 == plain16
+            if shaped16 >= plain16:
                 improved += 1
         assert improved >= 4
-        report(f"pass@16 boundary expansion ({improved}/5 pairs)")
+        # A tie counts as improved, so the report names the ties.
+        report(f"pass@16 boundary expansion ({improved}/5 pairs, {ties} ties; "
+               f"plain->shaped {', '.join(margins)})")
 
 
 class TestTemperatureCriteria:

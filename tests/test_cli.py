@@ -241,6 +241,20 @@ class TestFitDecouple:
         assert code == 2
         assert "degenerate_labels" in err
 
+    def test_collinear_features_exit_2(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        eff_rank = rng.uniform(1.0, 5.0, 40)
+        correct = rng.uniform(size=40) < 0.5
+        rows = ["eff_rank,entropy,correct"]
+        rows += [f"{r!r},{3.0 * r + 0.5!r},{int(y)}" for r, y in zip(eff_rank.tolist(), correct)]
+        path = tmp_path / "samples.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit-decouple", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error [degenerate]: collinear features eff_rank and entropy")
+
 
 class TestSoeSelect:
     def test_selects_orthogonal_probe(self, capsys, tmp_path):

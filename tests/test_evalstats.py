@@ -6,6 +6,7 @@ import pytest
 
 from rankshape import (
     DecouplingSample,
+    DegenerateDataError,
     DegenerateLabelsError,
     FileFormatError,
     InputError,
@@ -15,7 +16,6 @@ from rankshape import (
     SeparableDataError,
     fit_decoupling_logit,
     load_decoupling_csv,
-    mean_token_entropy,
     pass_at_k,
     pass_curve,
 )
@@ -41,6 +41,16 @@ def synthetic_samples(seed, n, beta_r=0.56, beta_e=0.0):
     ze = (entropy - entropy.mean()) / entropy.std()
     p = 1.0 / (1.0 + np.exp(-(beta_r * zr + beta_e * ze)))
     labels = rng.uniform(size=n) < p
+    return [DecouplingSample(float(r), float(e), bool(y))
+            for r, e, y in zip(eff_rank, entropy, labels)]
+
+
+def collinear_samples(seed, noise, n=40):
+    """entropy = 3 eff_rank + 0.5 (plus noise * N(0, 1)), random labels."""
+    rng = np.random.default_rng(seed)
+    eff_rank = rng.uniform(1.0, 5.0, n)
+    labels = rng.uniform(size=n) < 0.5
+    entropy = 3.0 * eff_rank + 0.5 + noise * rng.normal(size=n)
     return [DecouplingSample(float(r), float(e), bool(y))
             for r, e, y in zip(eff_rank, entropy, labels)]
 
@@ -146,30 +156,6 @@ class TestPassCurve:
             pass_curve(pc, [8])
 
 
-class TestMeanTokenEntropy:
-    def test_one_hot_steps(self):
-        assert mean_token_entropy([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) == 0.0
-
-    def test_uniform_four(self):
-        assert abs(mean_token_entropy([[0.25] * 4]) - np.log(4.0)) < 1e-12
-
-    def test_mixed_steps_average(self):
-        value = mean_token_entropy([[1.0, 0.0], [0.5, 0.5]])
-        assert abs(value - np.log(2.0) / 2.0) < 1e-12
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(InputError):
-            mean_token_entropy([[0.7, 0.2]])
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(InputError):
-            mean_token_entropy([[1.2, -0.2]])
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            mean_token_entropy([])
-
-
 class TestDecouplingSamples:
     def test_bounds_enforced(self):
         with pytest.raises(InputError):
@@ -233,6 +219,16 @@ class TestFitDecouplingLogit:
     def test_too_few_samples_rejected(self):
         with pytest.raises(InputError):
             fit_decoupling_logit(synthetic_samples(4, 19))
+
+    # Exactly and nearly collinear features. The Newton solve fails on seed 0,
+    # and on seed 2 with noise, whose design matrix still has full numerical
+    # rank; the final inverse fails on seed 2 without noise; rounding leaves a
+    # negative variance on seed 8.
+    @pytest.mark.parametrize("seed, noise", [(0, 0.0), (2, 1e-9), (2, 0.0), (8, 0.0)])
+    def test_collinear_features_rejected(self, seed, noise):
+        with pytest.raises(DegenerateDataError, match="collinear features") as info:
+            fit_decoupling_logit(collinear_samples(seed, noise))
+        assert info.value.code == "degenerate"
 
     def test_constant_feature_rejected(self):
         samples = [DecouplingSample(3.0, 1.0 + 0.1 * (i % 7), i % 2 == 0)

@@ -6,9 +6,8 @@ from rankshape import (
     GroupSizeError,
     InputError,
     RolloutOutcome,
+    gated_rewards,
     group_advantages,
-    grpo_objective,
-    score_group,
     total_reward,
 )
 
@@ -49,6 +48,23 @@ class TestTotalReward:
         for alpha in (-0.1, float("nan"), float("inf")):
             with pytest.raises(InputError, match="alpha"):
                 total_reward(RolloutOutcome(True, 0.5), alpha=alpha)
+
+
+class TestGatedRewards:
+    """The array path that train runs, one group of verdicts at a time."""
+
+    def test_worked_example(self):
+        rewards = gated_rewards([True, True, False], [1.0, 0.5, 0.9], 0.5)
+        npt.assert_array_equal(rewards, [1.5, 1.25, 0.0])
+
+    def test_all_incorrect_gives_zero_advantages(self):
+        rewards = gated_rewards([False] * 4, [0.2] * 4)
+        npt.assert_array_equal(rewards, 0.0)
+        npt.assert_array_equal(group_advantages(rewards), 0.0)
+
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(InputError, match="alpha"):
+            gated_rewards([True, False], [0.5, 0.5], -0.1)
 
 
 class TestGroupAdvantages:
@@ -96,55 +112,3 @@ class TestGroupAdvantages:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             group_advantages([1.0, np.inf])
-
-
-class TestGrpoObjective:
-    def test_worked_example(self):
-        # -(1/2) * ((+1)(-2) + (-1)(-3)) = -(1/2) * 1 = -0.5
-        assert abs(grpo_objective([1.0, -1.0], [-2.0, -3.0]) + 0.5) < 1e-12
-
-    def test_zero_advantages_zero_objective(self):
-        assert grpo_objective([0.0, 0.0], [-5.0, -1.0]) == 0.0
-
-    def test_constant_shift_invariance_with_centered_advantages(self):
-        rng = np.random.default_rng(2)
-        adv = group_advantages(rng.uniform(0, 2, size=8))
-        lp = rng.uniform(-10, -1, size=8)
-        base = grpo_objective(adv, lp)
-        shifted = grpo_objective(adv, lp + 3.7)
-        assert abs(base - shifted) < 1e-9
-
-    def test_improving_positive_advantage_rollout_lowers_objective(self):
-        adv = np.array([1.0, -1.0])
-        lp = np.array([-2.0, -3.0])
-        better = lp + np.array([0.5, 0.0])
-        assert grpo_objective(adv, better) < grpo_objective(adv, lp)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            grpo_objective([1.0, -1.0], [-2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            grpo_objective([], [])
-
-
-class TestScoreGroup:
-    def test_wires_rewards_and_advantages(self):
-        outcomes = [RolloutOutcome(True, 1.0), RolloutOutcome(True, 0.5),
-                    RolloutOutcome(False, 0.9)]
-        group = score_group("q0", outcomes, alpha=0.5)
-        assert group.query_id == "q0"
-        assert group.size == 3
-        npt.assert_allclose(group.rewards, [1.5, 1.25, 0.0])
-        npt.assert_allclose(group.advantages,
-                            group_advantages(np.array(group.rewards)), atol=1e-12)
-
-    def test_all_incorrect_gives_zero_advantages(self):
-        outcomes = [RolloutOutcome(False, 0.2)] * 4
-        group = score_group("q1", outcomes)
-        npt.assert_allclose(group.advantages, 0.0)
-
-    def test_single_outcome_rejected(self):
-        with pytest.raises(GroupSizeError):
-            score_group("q2", [RolloutOutcome(True, 0.5)])

@@ -17,7 +17,6 @@ from rankshape import (
     covariance_spectrum,
     effective_rank,
     geometric_barrier_probe,
-    grpo_objective,
     policy_gradient,
     rollout,
     sample_group,
@@ -273,18 +272,6 @@ class TestPolicyGradient:
         logits = np.array([0.3, -0.2, 0.9])
         grad = policy_gradient(logits, 1.0, [np.array([0, 1, 2])], [0.0])
         npt.assert_allclose(grad, 0.0)
-
-    def test_objective_consistency_with_grpo(self):
-        # grpo_objective is the negated group mean of weighted_log_prob terms
-        rng = np.random.default_rng(1)
-        logits = rng.normal(size=6)
-        seqs = [rng.integers(0, 6, size=10) for _ in range(4)]
-        adv = rng.normal(size=4)
-        logp = np.log(PolicyParams(logits).probs())
-        per_rollout = [float(logp[s].sum()) for s in seqs]
-        lhs = grpo_objective(adv, per_rollout)
-        rhs = -weighted_log_prob(logits, 1.0, seqs, adv) / 4.0
-        assert abs(lhs - rhs) < 1e-12
 
     def test_equals_per_rollout_loop(self):
         rng = np.random.default_rng(4)

@@ -7,8 +7,6 @@ from rankshape import (
     InputError,
     Spectrum,
     ZeroVarianceError,
-    center,
-    confinement_ratio,
     covariance_spectrum,
     effective_rank,
     erank_or_floor,
@@ -39,19 +37,6 @@ class TestValidation:
         assert H.dtype == np.float64
 
 
-class TestCenter:
-    def test_mean_is_row_mean(self):
-        H = np.array([[1.0, 2.0], [3.0, 6.0]])
-        centered, mean = center(H)
-        npt.assert_allclose(mean, [2.0, 4.0])
-        npt.assert_allclose(centered.mean(axis=0), 0.0, atol=1e-15)
-
-    def test_single_row_centers_to_zero(self):
-        centered, mean = center([[5.0, -2.0, 1.0]])
-        npt.assert_allclose(centered, 0.0)
-        npt.assert_allclose(mean, [5.0, -2.0, 1.0])
-
-
 class TestSpectrumType:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
@@ -79,7 +64,6 @@ class TestCovarianceSpectrum:
         # centered rows (1,0) and (-1,0): covariance diag(1, 0)
         s = covariance_spectrum(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         npt.assert_allclose(s.eigenvalues, [1.0, 0.0], atol=1e-15)
-        npt.assert_allclose(s.mean, [0.0, 0.0])
 
     def test_constant_rows_zero_spectrum(self):
         s = covariance_spectrum(np.tile([2.0, 3.0, 4.0], (5, 1)))
@@ -251,32 +235,3 @@ class TestPrincipalSubspace:
         basis = principal_subspace(H, 0.9)
         residual = basis.project_out(np.array([3.0, 4.0]))
         npt.assert_allclose(residual, [0.0, 4.0], atol=1e-12)
-
-
-class TestConfinement:
-    def test_rank_one_is_confined(self):
-        assert confinement_ratio(Spectrum(np.array([2.0, 0.0])), 1) == 1.0
-
-    def test_uniform_four_top_one(self):
-        assert abs(confinement_ratio(Spectrum(np.ones(4)), 1) - 0.25) < 1e-12
-
-    def test_worked_example(self):
-        s = Spectrum(np.array([0.5, 0.3, 0.2]))
-        assert abs(confinement_ratio(s, 2) - 0.8) < 1e-12
-
-    def test_monotone_in_k_and_reaches_one(self):
-        rng = np.random.default_rng(12)
-        s = covariance_spectrum(rng.normal(size=(20, 6)))
-        values = [confinement_ratio(s, k) for k in range(1, s.eigenvalues.size + 1)]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-        assert abs(values[-1] - 1.0) < 1e-12
-
-    def test_k_out_of_range(self):
-        s = Spectrum(np.array([1.0, 0.5]))
-        for bad in (0, 3, -1):
-            with pytest.raises(InputError):
-                confinement_ratio(s, bad)
-
-    def test_zero_mass_raises(self):
-        with pytest.raises(DegenerateSpectrumError):
-            confinement_ratio(Spectrum(np.zeros(3)), 1)
