@@ -24,9 +24,20 @@ from .io import text_lines
 
 DECOUPLING_CSV_HEADER = ("eff_rank", "entropy", "correct")
 
-# Coefficient norm at which the fit is declared separated: logits this far
+# Coefficient norm at which the fit is declared divergent: logits this far
 # out move predictions by < 1e-13, so growth past it is pure divergence.
 COEF_BOUND = 30.0
+# z-scored features with 1 - |correlation| below this are collinear to
+# rounding: exactly collinear data leaves at most a few ulps.
+COLLINEAR_TOL = 1e-12
+# A divergence that raises the predictor's variance by less than this share
+# of the features' squared coefficient norm runs along the near-null
+# direction of nearly collinear features (the share is at least
+# 1 - |correlation|). Fair-coin labels on nearly collinear features give
+# shares below 1e-3; separable labels give shares near 1.
+NEAR_NULL_SHARE = 0.01
+_COLLINEAR = ("collinear features eff_rank and entropy: one is an affine function of "
+              "the other, so their effects cannot be separated")
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITER = 100
 
@@ -111,11 +122,8 @@ class LogitFit:
     converged: bool
     iterations: int
 
-    def to_record(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_record())
+        return json.dumps(asdict(self))
 
 
 def fit_decoupling_logit(samples) -> LogitFit:
@@ -124,8 +132,10 @@ def fit_decoupling_logit(samples) -> LogitFit:
     Newton/IRLS steps run until the log-likelihood gradient norm drops
     below GRADIENT_TOL. Standard errors come from the inverse observed
     information at the optimum; p-values are two-sided normal. Raises on
-    single-class labels, on coefficient divergence (perfect separation) and
-    on collinear features.
+    single-class labels, on collinear features, and on coefficient
+    divergence: SeparableDataError (perfect separation) unless the
+    coefficients run off along the near-null direction of nearly collinear
+    features without classifying every sample, which is DegenerateDataError.
     """
     samples = list(samples)
     if len(samples) < 20:
@@ -139,6 +149,8 @@ def fit_decoupling_logit(samples) -> LogitFit:
         which = "eff_rank" if spread[0] <= 0.0 else "entropy"
         raise InputError(f"constant feature {which}: cannot standardize")
     X = np.column_stack([np.ones(len(samples)), (raw - raw.mean(axis=0)) / spread])
+    if 1.0 - abs(np.mean(X[:, 1] * X[:, 2])) < COLLINEAR_TOL:
+        raise DegenerateDataError(_COLLINEAR)
 
     beta = np.zeros(3)
     converged = False
@@ -154,6 +166,12 @@ def fit_decoupling_logit(samples) -> LogitFit:
             hessian = X.T @ (X * w[:, None])
             beta = beta + np.linalg.solve(hessian, grad)
             if np.linalg.norm(beta) > COEF_BOUND:
+                if (np.var(X @ beta) < NEAR_NULL_SHARE * (beta[1:] @ beta[1:])
+                        and not np.array_equal(X @ beta > 0.0, y == 1.0)):
+                    raise DegenerateDataError(
+                        "nearly collinear features eff_rank and entropy: the coefficients "
+                        "diverged in a direction the features barely vary along, so their "
+                        "effects cannot be separated")
                 raise SeparableDataError(
                     "separable data: coefficients diverged, Wald inference is meaningless")
 
@@ -165,9 +183,7 @@ def fit_decoupling_logit(samples) -> LogitFit:
     # Collinear features make the information matrix singular: the solve or
     # the inverse fails, or rounding leaves a variance that is not positive.
     if not np.all(variances > 0.0):
-        raise DegenerateDataError(
-            "collinear features eff_rank and entropy: one is an affine function of "
-            "the other, so their effects cannot be separated")
+        raise DegenerateDataError(_COLLINEAR)
     se = np.sqrt(variances)
     return LogitFit(
         beta0=float(beta[0]),

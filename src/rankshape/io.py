@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FileFormatError, InputError
-from .rewards import DEFAULT_ALPHA, DEFAULT_GROUP_SIZE
+from .rewards import DEFAULT_ALPHA
 from .spectral import validate_trajectory
 from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH
 
@@ -208,7 +208,7 @@ class RunConfig:
     alpha: float = DEFAULT_ALPHA
     window: int = DEFAULT_WIDTH
     stride: int = DEFAULT_STRIDE
-    group_size: int = DEFAULT_GROUP_SIZE
+    group_size: int = 8
     iterations: int = 500
     learning_rate: float = 0.05
     train_seed: int = 1

@@ -12,7 +12,7 @@ stitching lives elsewhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class ProbeSet:
         object.__setattr__(self, "labels", labels)
 
     @property
-    def size(self) -> int:
-        return int(self.vectors.shape[0])
-
-    @property
     def dim(self) -> int:
         return int(self.vectors.shape[1])
 
@@ -74,28 +70,18 @@ class ProbeChoice:
 
 @dataclass(frozen=True)
 class StitchPlan:
-    """Geometric record of one ejection decision."""
+    """Geometric record of one ejection decision. Its fields, in order, are
+    the keys of its JSON record."""
 
+    query_id: str | None
     prefix_length: int
-    probe_index: int
     probe_label: str
-    omega_score: float
+    omega: float
     basis_k: int
     warning: bool
-    query_id: str | None = None
-
-    def to_record(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "prefix_length": self.prefix_length,
-            "probe_label": self.probe_label,
-            "omega": self.omega_score,
-            "basis_k": self.basis_k,
-            "warning": self.warning,
-        }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_record())
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_choice(cls, choice: ProbeChoice, basis: ManifoldBasis, prefix_length: int,
@@ -103,9 +89,9 @@ class StitchPlan:
         """The record of one selection round. It warns when even the winner
         lies nearly inside the manifold (omega below LOW_OMEGA_THRESHOLD),
         meaning no probe actually escapes."""
-        return cls(prefix_length=int(prefix_length), probe_index=choice.index,
-                   probe_label=choice.label, omega_score=choice.omega, basis_k=basis.k,
-                   warning=choice.omega < LOW_OMEGA_THRESHOLD, query_id=query_id)
+        return cls(query_id=query_id, prefix_length=int(prefix_length),
+                   probe_label=choice.label, omega=choice.omega, basis_k=basis.k,
+                   warning=choice.omega < LOW_OMEGA_THRESHOLD)
 
 
 def _stack_lookahead(samples) -> np.ndarray:

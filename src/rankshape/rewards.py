@@ -16,7 +16,6 @@ import numpy as np
 from .errors import GroupSizeError, InputError
 
 DEFAULT_ALPHA = 0.5
-DEFAULT_GROUP_SIZE = 8
 # Reward spreads below this carry no ranking signal; advantages are zeroed
 # instead of dividing by noise.
 STD_FLOOR = 1e-6

@@ -54,7 +54,6 @@ class EnvSpec:
 
     d: int
     vocab: int
-    bias_dim: int
     n_null: int
     directions: np.ndarray  # (vocab, d) unit rows; bias tokens first
     bias_basis: np.ndarray  # (d, bias_dim) orthonormal columns
@@ -62,7 +61,6 @@ class EnvSpec:
     tau: float
     horizon: int
     decay: float
-    seed: int
 
     @property
     def n_bias(self) -> int:
@@ -147,18 +145,17 @@ def build_env(seed: int, d: int = RunConfig.dim, vocab: int = RunConfig.vocab,
         in_null = _unit(u_star + TARGET_SPREAD * _unit(tilt))
         mass = rng.uniform(*NULL_MASS_RANGE)
         directions[i] = np.sqrt(1.0 - mass * mass) * in_bias + mass * in_null
-    return EnvSpec(d=d, vocab=vocab, bias_dim=bias_dim, n_null=n_null,
-                   directions=directions, bias_basis=bias_basis, u_star=u_star,
-                   tau=float(tau), horizon=int(horizon), decay=float(decay),
-                   seed=int(seed))
+    return EnvSpec(d=d, vocab=vocab, n_null=n_null, directions=directions,
+                   bias_basis=bias_basis, u_star=u_star, tau=float(tau),
+                   horizon=int(horizon), decay=float(decay))
 
 
 @dataclass
 class PolicyParams:
-    """Softmax policy over tokens: probs = softmax(scale * logits)."""
+    """Softmax policy over tokens: probs = softmax(logits). A sharper or
+    flatter policy is one with scaled logits."""
 
     logits: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=np.float64)
@@ -166,18 +163,16 @@ class PolicyParams:
             raise InputError(f"logits must be a non-empty vector, got shape {logits.shape}")
         if not np.all(np.isfinite(logits)):
             raise InputError("logits must be finite")
-        if not np.isfinite(self.scale) or self.scale <= 0.0:
-            raise InputError(f"scale must be positive, got {self.scale}")
         self.logits = logits
 
     def probs(self) -> np.ndarray:
-        return _softmax(self.scale * self.logits)
+        return _softmax(self.logits)
 
     def entropy(self) -> float:
         return float(entropy_rows(self.probs()))
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(logits=self.logits.copy(), scale=self.scale)
+        return PolicyParams(logits=self.logits.copy())
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -222,8 +217,8 @@ def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     Correctness: the normalized final state's projection on u_star reaches
     tau.
 
-    Returns (tokens, states, correct, log_prob) with shapes (G, horizon),
-    (G, horizon, d), (G,) and (G,).
+    Returns (tokens, states, correct) with shapes (G, horizon),
+    (G, horizon, d) and (G,).
     """
     if policy.logits.size != env.vocab:
         raise InputError(
@@ -231,8 +226,7 @@ def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     seeds = list(seeds)
     if not seeds:
         raise InputError("cannot sample an empty group: no seeds given")
-    p = policy.probs()
-    cdf = p.cumsum()
+    cdf = policy.probs().cumsum()
     cdf /= cdf[-1]
     u = np.array([np.random.default_rng(s).random(env.horizon) for s in seeds])
     tokens = cdf.searchsorted(u, side="right")
@@ -244,15 +238,15 @@ def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     norm = np.linalg.norm(final, axis=-1)
     cosine = (final @ env.u_star) / np.where(norm > 0.0, norm, 1.0)
     correct = (norm > 0.0) & (cosine >= env.tau)
-    log_prob = np.log(p[tokens]).sum(axis=-1)
-    return tokens, states, correct, log_prob
+    return tokens, states, correct
 
 
 def rollout(policy: PolicyParams, env: EnvSpec, seed) -> Rollout:
-    """sample_group for the single seed ``seed``."""
-    tokens, states, correct, log_prob = sample_group(policy, env, [seed])
+    """sample_group for the single seed ``seed``, with the log-probability
+    of its tokens under the policy."""
+    tokens, states, correct = sample_group(policy, env, [seed])
     return Rollout(tokens=tokens[0], states=states[0], correct=bool(correct[0]),
-                   log_prob=float(log_prob[0]))
+                   log_prob=float(np.log(policy.probs()[tokens[0]]).sum()))
 
 
 def _group_counts(token_seqs, advantages, vocab: int) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +364,7 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     entropies = np.empty(iterations)
 
     for it in range(iterations):
-        tokens, states, correct, _ = sample_group(
+        tokens, states, correct = sample_group(
             policy, env, [np.random.SeedSequence([seed, it, i]) for i in range(group_size)])
         min_eranks, norm_ranks = stacked_min_effrank(states, width, stride)
         rewards = gated_rewards(correct, norm_ranks, alpha)
@@ -381,7 +375,7 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
         rewards_out[it] = rewards.mean()
         entropies[it] = policy.entropy()
 
-        grad = policy_gradient(policy.logits, policy.scale, tokens, advantages)
+        grad = policy_gradient(policy.logits, 1.0, tokens, advantages)
         with np.errstate(over="ignore"):
             policy.logits += learning_rate * grad
         if not np.all(np.isfinite(policy.logits)):
@@ -395,9 +389,9 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Mean full-trajectory effective rank per logit scale."""
+    """Mean full-trajectory effective rank per logit scale, in the order of
+    the scales swept."""
 
-    scales: tuple[float, ...]
     mean_erank: tuple[float, ...]
     std_error: tuple[float, ...]
 
@@ -406,9 +400,9 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
                       samples_per_scale: int, seed: int = 0) -> SweepResult:
     """Monte Carlo effective-rank estimate at each concentration scale.
 
-    Scales multiply the policy's own scale; they must be positive and
-    ascending. Sharper policies visit fewer directions, so the estimated
-    mean rank should fall (within sampling noise) as the scale grows.
+    Scales multiply the logits; they must be positive and ascending.
+    Sharper policies visit fewer directions, so the estimated mean rank
+    should fall (within sampling noise) as the scale grows.
     """
     _check_seed(seed)
     scales = [float(s) for s in scales]
@@ -422,14 +416,14 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
     means = []
     errors = []
     for j, s in enumerate(scales):
-        scaled = PolicyParams(logits=policy.logits, scale=policy.scale * s)
-        _, states, _, _ = sample_group(
-            scaled, env, [np.random.SeedSequence([seed, j, i]) for i in range(samples_per_scale)])
+        _, states, _ = sample_group(
+            PolicyParams(s * policy.logits), env,
+            [np.random.SeedSequence([seed, j, i]) for i in range(samples_per_scale)])
         values = erank_stack(states)
         means.append(float(values.mean()))
         errors.append(float(values.std(ddof=1) / np.sqrt(samples_per_scale))
                       if samples_per_scale > 1 else 0.0)
-    return SweepResult(scales=tuple(scales), mean_erank=tuple(means), std_error=tuple(errors))
+    return SweepResult(mean_erank=tuple(means), std_error=tuple(errors))
 
 
 def geometric_barrier_probe(policy: PolicyParams, env: EnvSpec, delta: float,
@@ -445,7 +439,7 @@ def geometric_barrier_probe(policy: PolicyParams, env: EnvSpec, delta: float,
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
     _check_draws(samples, env)
-    _, states, _, _ = sample_group(
+    _, states, _ = sample_group(
         policy, env, [np.random.SeedSequence([seed, i]) for i in range(samples)])
     escaped = np.linalg.norm(env.null_component(states[:, -1].T), axis=0) > delta
     return int(escaped.sum()) / samples

@@ -220,15 +220,31 @@ class TestFitDecouplingLogit:
         with pytest.raises(InputError):
             fit_decoupling_logit(synthetic_samples(4, 19))
 
-    # Exactly and nearly collinear features. The Newton solve fails on seed 0,
-    # and on seed 2 with noise, whose design matrix still has full numerical
-    # rank; the final inverse fails on seed 2 without noise; rounding leaves a
-    # negative variance on seed 8.
+    # Exactly and nearly collinear features. Without the correlation check
+    # the Newton solve fails on seed 0, and on seed 2 with noise, whose design
+    # matrix still has full numerical rank; the final inverse fails on seed 2
+    # without noise; rounding leaves a negative variance on seed 8.
     @pytest.mark.parametrize("seed, noise", [(0, 0.0), (2, 1e-9), (2, 0.0), (8, 0.0)])
     def test_collinear_features_rejected(self, seed, noise):
         with pytest.raises(DegenerateDataError, match="collinear features") as info:
             fit_decoupling_logit(collinear_samples(seed, noise))
         assert info.value.code == "degenerate"
+
+    # Fair-coin labels on entropy = 3 eff_rank + 0.5 + noise * N(0, 1). Exactly
+    # and nearly collinear features are refused as degenerate, never as
+    # separable data; only at noise 1e-3 may a seed fit.
+    @pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-7, 1e-5, 1e-3])
+    def test_collinear_noise_sweep_is_never_separable(self, noise):
+        fits = 0
+        for seed in range(40):
+            try:
+                fit_decoupling_logit(collinear_samples(seed, noise))
+            except DegenerateDataError as exc:
+                assert exc.code == "degenerate", f"seed {seed}: {exc}"
+                assert "collinear features eff_rank and entropy" in str(exc)
+            else:
+                fits += 1
+        assert fits == 0 if noise < 1e-3 else fits <= 1
 
     def test_constant_feature_rejected(self):
         samples = [DecouplingSample(3.0, 1.0 + 0.1 * (i % 7), i % 2 == 0)

@@ -35,7 +35,7 @@ class TestProbeSet:
     def test_default_labels(self):
         probes = ProbeSet(np.eye(3))
         assert probes.labels == ("probe0", "probe1", "probe2")
-        assert probes.size == 3 and probes.dim == 3
+        assert probes.vectors.shape == (3, 3) and probes.dim == 3
 
     def test_label_count_must_match(self):
         with pytest.raises(InputError):
@@ -195,8 +195,8 @@ class TestPlanStitch:
         plan = plan_stitch(self.trace, 7, self.lookahead, probes,
                            energy_threshold=0.999, query_id="q7")
         assert plan.probe_label == "eject"
-        assert plan.probe_index == 1
-        assert plan.omega_score > 0.9
+        assert select_probe(probes, lookahead_manifold(self.lookahead, 0.999)).index == 1
+        assert plan.omega > 0.9
         assert plan.basis_k == 2
         assert plan.warning is False
         assert plan.prefix_length == 7
@@ -209,7 +209,7 @@ class TestPlanStitch:
         plan = plan_stitch(self.trace, 3, self.lookahead, probes,
                            energy_threshold=0.999)
         assert plan.warning is True
-        assert plan.omega_score < 0.1
+        assert plan.omega < 0.1
 
     def test_prefix_bounds(self):
         probes = ProbeSet(np.eye(4))
@@ -229,9 +229,8 @@ class TestPlanStitch:
         for omega, warning in ((LOW_OMEGA_THRESHOLD, False),
                                (np.nextafter(LOW_OMEGA_THRESHOLD, 0.0), True)):
             plan = StitchPlan.from_choice(ProbeChoice(1, "p1", omega), basis, 4, "q")
-            assert plan == StitchPlan(prefix_length=4, probe_index=1, probe_label="p1",
-                                      omega_score=omega, basis_k=basis.k, warning=warning,
-                                      query_id="q")
+            assert plan == StitchPlan(query_id="q", prefix_length=4, probe_label="p1",
+                                      omega=omega, basis_k=basis.k, warning=warning)
 
     def test_json_record_fields(self):
         probes = ProbeSet(np.eye(4))

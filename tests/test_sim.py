@@ -94,13 +94,9 @@ class TestPolicyParams:
 
     def test_scale_sharpens(self):
         logits = np.array([1.0, 0.0, -1.0])
-        soft = PolicyParams(logits, scale=1.0).entropy()
-        sharp = PolicyParams(logits, scale=5.0).entropy()
+        soft = PolicyParams(logits).entropy()
+        sharp = PolicyParams(5.0 * logits).entropy()
         assert sharp < soft
-
-    def test_bad_scale_rejected(self):
-        with pytest.raises(InputError):
-            PolicyParams(np.zeros(3), scale=0.0)
 
 
 class TestRollout:
@@ -193,7 +189,7 @@ class TestSampleGroup:
         else:
             policy = PolicyParams(np.random.default_rng(env_seed).normal(size=env.vocab))
         seeds = [np.random.SeedSequence([5, env_seed, i]) for i in range(group)]
-        tokens, states, correct, log_prob = sample_group(policy, env, seeds)
+        tokens, states, correct = sample_group(policy, env, seeds)
         assert tokens.shape == (group, env.horizon)
         assert states.shape == (group, env.horizon, env.d)
         for i, seed in enumerate(seeds):
@@ -201,7 +197,8 @@ class TestSampleGroup:
             npt.assert_array_equal(tokens[i], ref_tokens)
             npt.assert_array_equal(states[i], ref_states)
             assert bool(correct[i]) == ref_correct
-            assert abs(log_prob[i] - np.log(policy.probs())[ref_tokens].sum()) < 1e-12
+            log_prob = rollout(policy, env, seed).log_prob
+            assert abs(log_prob - np.log(policy.probs())[ref_tokens].sum()) < 1e-12
         if kind == "random" and group > 1:
             assert 0 < int(correct.sum()) < group
 
@@ -209,11 +206,11 @@ class TestSampleGroup:
         env = build_env(4)
         policy = biased_init(env)
         r = rollout(policy, env, 9)
-        tokens, states, correct, log_prob = sample_group(policy, env, [9])
+        tokens, states, correct = sample_group(policy, env, [9])
         npt.assert_array_equal(r.tokens, tokens[0])
         npt.assert_array_equal(r.states, states[0])
         assert r.correct is bool(correct[0])
-        assert r.log_prob == log_prob[0]
+        assert r.log_prob == np.log(policy.probs()[tokens[0]]).sum()
 
 
 def test_tokens_equal_generator_choice():
@@ -233,7 +230,7 @@ def test_tokens_equal_generator_choice():
         seeds = [int(rng.integers(2**32)) if rng.random() < 0.5
                  else np.random.SeedSequence([int(rng.integers(2**32)), i])
                  for i in range(int(rng.integers(1, 4)))]
-        tokens, _, _, _ = sample_group(policy, env, seeds)
+        tokens, _, _ = sample_group(policy, env, seeds)
         for row, seed in zip(tokens, seeds):
             expected = np.random.default_rng(seed).choice(env.vocab, size=env.horizon, p=p)
             assert np.array_equal(row, expected)
@@ -284,7 +281,7 @@ class TestPolicyGradient:
             tokens = rng.integers(0, V, size=(G, T))
             adv = rng.normal(size=G)
             # The per-rollout loop of earlier versions, as the reference.
-            p = PolicyParams(logits, scale).probs()
+            p = PolicyParams(scale * logits).probs()
             grad = np.zeros(V)
             for seq, a in zip(tokens, adv):
                 grad += a * (np.bincount(seq, minlength=V) - seq.size * p)
