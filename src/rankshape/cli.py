@@ -245,9 +245,6 @@ def cmd_simulate(args) -> int:
             out.mkdir(parents=True, exist_ok=True)
             if not trace_path.parent.is_dir():  # a label holding "/"
                 raise InputError(f"cannot write {trace_path}: no directory {trace_path.parent}")
-        if cfg.verbose:
-            print(f"training: alpha={cfg.alpha:g} seed={cfg.train_seed} "
-                  f"iterations={cfg.iterations}", file=sys.stderr)
         trace = train(env, policy, alpha=cfg.alpha, group_size=cfg.group_size,
                       iterations=cfg.iterations, learning_rate=cfg.learning_rate,
                       seed=cfg.train_seed, window=cfg.window, stride=cfg.stride)
@@ -262,9 +259,6 @@ def cmd_simulate(args) -> int:
         trace.to_csv(trace_path)
         config_path.write_text(json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2)
                                + "\n", encoding="utf-8")
-    if cfg.verbose:
-        print(f"final: erank={trace.mean_windowed_erank[-1]:.4f} "
-              f"success={trace.success_rate[-1]:.4f}", file=sys.stderr)
     print(json.dumps({"trace": str(trace_path), "config": str(config_path)}))
     return 0
 

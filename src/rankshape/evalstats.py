@@ -39,6 +39,9 @@ NEAR_NULL_SHARE = 0.01
 _COLLINEAR = ("collinear features eff_rank and entropy: one is an affine function of "
               "the other, so their effects cannot be separated")
 GRADIENT_TOL = 1e-8
+# A fit converges when, with the gradient below GRADIENT_TOL, the Newton
+# step it would take next is also below this.
+STEP_TOL = 1e-6
 MAX_NEWTON_ITER = 100
 
 
@@ -112,7 +115,9 @@ class DecouplingSample:
 
 @dataclass(frozen=True)
 class LogitFit:
-    """Wald summary of the two-predictor logistic regression."""
+    """Wald summary of the two-predictor logistic regression. ``converged``
+    is always true, since a fit that does not converge is refused; the
+    field stays so that the JSON record keeps its keys."""
 
     beta0: float
     beta_r: float
@@ -130,12 +135,14 @@ def fit_decoupling_logit(samples) -> LogitFit:
     """Logistic regression of correctness on z-scored (eff_rank, entropy).
 
     Newton/IRLS steps run until the log-likelihood gradient norm drops
-    below GRADIENT_TOL. Standard errors come from the inverse observed
-    information at the optimum; p-values are two-sided normal. Raises on
-    single-class labels, on collinear features, and on coefficient
-    divergence: SeparableDataError (perfect separation) unless the
-    coefficients run off along the near-null direction of nearly collinear
-    features without classifying every sample, which is DegenerateDataError.
+    below GRADIENT_TOL and the next step below STEP_TOL. Standard errors
+    come from the inverse observed information at the optimum; p-values are
+    two-sided normal. Raises on single-class labels, on collinear features,
+    and when no maximum-likelihood estimate exists, that is on coefficient
+    divergence or on no convergence in MAX_NEWTON_ITER steps (quasi-complete
+    separation): SeparableDataError unless the coefficients run off along
+    the near-null direction of nearly collinear features without
+    classifying every sample, which is DegenerateDataError.
     """
     samples = list(samples)
     if len(samples) < 20:
@@ -153,18 +160,19 @@ def fit_decoupling_logit(samples) -> LogitFit:
         raise DegenerateDataError(_COLLINEAR)
 
     beta = np.zeros(3)
-    converged = False
-    iterations = 0
     try:
         for iterations in range(1, MAX_NEWTON_ITER + 1):
             p = _sigmoid(X @ beta)
             grad = X.T @ (y - p)
-            if np.linalg.norm(grad) < GRADIENT_TOL:
-                converged = True
-                break
             w = np.maximum(p * (1.0 - p), 1e-12)
             hessian = X.T @ (X * w[:, None])
-            beta = beta + np.linalg.solve(hessian, grad)
+            step = np.linalg.solve(hessian, grad)
+            # A small gradient alone is not an optimum: under quasi-complete
+            # separation the saturated rows stop contributing to it while the
+            # coefficients still drift. The converged step is not applied.
+            if np.linalg.norm(grad) < GRADIENT_TOL and np.linalg.norm(step) < STEP_TOL:
+                break
+            beta = beta + step
             if np.linalg.norm(beta) > COEF_BOUND:
                 if (np.var(X @ beta) < NEAR_NULL_SHARE * (beta[1:] @ beta[1:])
                         and not np.array_equal(X @ beta > 0.0, y == 1.0)):
@@ -174,10 +182,12 @@ def fit_decoupling_logit(samples) -> LogitFit:
                         "effects cannot be separated")
                 raise SeparableDataError(
                     "separable data: coefficients diverged, Wald inference is meaningless")
-
-        p = _sigmoid(X @ beta)
-        w = np.maximum(p * (1.0 - p), 1e-12)
-        variances = np.diag(np.linalg.inv(X.T @ (X * w[:, None])))
+        else:
+            raise SeparableDataError(
+                f"separable data: no convergence in {MAX_NEWTON_ITER} Newton steps, so the "
+                "maximum-likelihood estimate does not exist (quasi-complete separation); "
+                "Wald inference is meaningless")
+        variances = np.diag(np.linalg.inv(hessian))
     except np.linalg.LinAlgError:
         variances = np.full(3, np.nan)
     # Collinear features make the information matrix singular: the solve or
@@ -191,7 +201,7 @@ def fit_decoupling_logit(samples) -> LogitFit:
         beta_e=float(beta[2]),
         std_errors=tuple(float(x) for x in se),
         p_values=tuple(math.erfc(abs(z) * math.sqrt(0.5)) for z in beta / se),
-        converged=converged,
+        converged=True,
         iterations=iterations,
     )
 

@@ -201,8 +201,7 @@ class RunConfig:
     every field under its own name, as the run's JSON, so that file reads
     back as a config file.
 
-    Its defaults are also those of sim.build_env, biased_init and train,
-    except train's seed (0) and window (min(DEFAULT_WIDTH, horizon)).
+    Its defaults are also those of sim.build_env, biased_init and train.
     """
 
     alpha: float = DEFAULT_ALPHA
@@ -222,7 +221,6 @@ class RunConfig:
     decay: float = 0.7
     bias_logit: float = 2.0
     label: str = ""
-    verbose: bool = False
 
 
 _CONFIG_TYPES: dict[str, type] = typing.get_type_hints(RunConfig)
@@ -230,13 +228,6 @@ _CONFIG_TYPES: dict[str, type] = typing.get_type_hints(RunConfig)
 
 def _parse_config_value(key: str, text: str, typ: type):
     text = text.strip()
-    if typ is bool:
-        lowered = text.lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"key {key}: expected a boolean, got {text!r}")
     try:
         return typ(text)
     except ValueError:

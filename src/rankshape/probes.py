@@ -33,10 +33,9 @@ TIE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Candidate probe vectors in the latent space, with opaque labels."""
+    """Candidate probe vectors in the latent space; probe i is named "probe{i}"."""
 
     vectors: np.ndarray  # (M, d)
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -44,15 +43,7 @@ class ProbeSet:
             raise InputError(f"probe vectors must form an (M, d) matrix, got shape {vectors.shape}")
         if not np.all(np.isfinite(vectors)):
             raise InputError("probe vectors contain non-finite values")
-        labels = self.labels
-        if labels is None:
-            labels = tuple(f"probe{i}" for i in range(vectors.shape[0]))
-        else:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != vectors.shape[0]:
-                raise InputError(f"got {len(labels)} labels for {vectors.shape[0]} probes")
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -94,30 +85,16 @@ class StitchPlan:
                    warning=choice.omega < LOW_OMEGA_THRESHOLD)
 
 
-def _stack_lookahead(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        return validate_trajectory(samples)
-    mats = [validate_trajectory(m) for m in samples]
-    if len(mats) < 2:
-        raise InputError("need at least 2 look-ahead samples")
-    dims = {m.shape[1] for m in mats}
-    if len(dims) != 1:
-        raise InputError(f"look-ahead samples disagree on state dimension: {sorted(dims)}")
-    return np.vstack(mats)
-
-
 def lookahead_manifold(samples, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD) -> ManifoldBasis:
     """Principal subspace of look-ahead states around one prefix.
 
-    ``samples`` is either an (N, d) matrix with one summary state per
-    look-ahead or an iterable of (T_i, d) trajectories whose rows are
-    stacked before the decomposition.
+    ``samples`` is an (N, d) matrix with one summary state per look-ahead.
     """
-    stacked = _stack_lookahead(samples)
-    if stacked.shape[0] < 2:
+    states = validate_trajectory(samples)
+    if states.shape[0] < 2:
         raise InputError("need at least 2 look-ahead states")
     try:
-        return principal_subspace(stacked, energy_threshold)
+        return principal_subspace(states, energy_threshold)
     except ZeroVarianceError:
         raise ZeroVarianceError("zero-variance look-ahead: all states identical") from None
 
@@ -143,7 +120,7 @@ def select_probe(probes: ProbeSet, basis: ManifoldBasis) -> ProbeChoice:
     scores = (np.linalg.norm(basis.project_out(probes.vectors), axis=1)
               / (np.linalg.norm(probes.vectors - basis.mean, axis=1) + DEFAULT_EPS))
     index = int(np.argmax(scores >= scores.max() - TIE_TOLERANCE))
-    return ProbeChoice(index=index, label=probes.labels[index], omega=float(scores[index]))
+    return ProbeChoice(index=index, label=f"probe{index}", omega=float(scores[index]))
 
 
 def plan_stitch(teacher_trace, prefix_length: int, lookahead_states, probes: ProbeSet,

@@ -33,11 +33,7 @@ from .rewards import (  # noqa: F401
     total_reward,
 )
 from .spectral import entropy_rows, erank_stack
-from .windows import (  # noqa: F401
-    DEFAULT_WIDTH,
-    stacked_min_effrank,
-    windowed_min_effrank,
-)
+from .windows import stacked_min_effrank, windowed_min_effrank  # noqa: F401
 
 # Null tokens put this fraction range of their norm in the complement and
 # scatter around the target with this much unit-sphere spread. Chosen so
@@ -335,8 +331,8 @@ class SimTrace:
 
 def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
           group_size: int = RunConfig.group_size, iterations: int = RunConfig.iterations,
-          learning_rate: float = RunConfig.learning_rate, seed: int = 0,
-          window: int | None = None, stride: int = RunConfig.stride) -> SimTrace:
+          learning_rate: float = RunConfig.learning_rate, seed: int = RunConfig.train_seed,
+          window: int = RunConfig.window, stride: int = RunConfig.stride) -> SimTrace:
     """Group-normalized REINFORCE on the logits with the rank-aware reward.
 
     Each iteration samples a group of group_size rollouts (sub-seeded from
@@ -354,7 +350,6 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     if not 0.0 <= learning_rate < np.inf:
         raise InputError(f"learning_rate must be finite and >= 0, got {learning_rate}")
     _check_draws(group_size, env)
-    width = window if window is not None else min(DEFAULT_WIDTH, env.horizon)
 
     policy = init_policy.copy()
     its = np.arange(iterations)
@@ -366,7 +361,7 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     for it in range(iterations):
         tokens, states, correct = sample_group(
             policy, env, [np.random.SeedSequence([seed, it, i]) for i in range(group_size)])
-        min_eranks, norm_ranks = stacked_min_effrank(states, width, stride)
+        min_eranks, norm_ranks = stacked_min_effrank(states, window, stride)
         rewards = gated_rewards(correct, norm_ranks, alpha)
         advantages = group_advantages(rewards)
 

@@ -35,7 +35,10 @@ def validate_trajectory(values) -> np.ndarray:
     again; the cores behind both (_centered_eigh, windows._window_eranks)
     trust their input.
     """
-    H = np.asarray(values, dtype=np.float64)
+    try:
+        H = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows, or a cell that is not a number
+        raise InputError(f"trajectory is not a numeric matrix: {exc}") from None
     if H.ndim != 2:
         raise InputError(f"trajectory must be 2-D, got shape {H.shape}")
     if H.shape[0] < 1 or H.shape[1] < 1:

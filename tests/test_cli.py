@@ -354,6 +354,18 @@ class TestSimulateAndReport:
         b = (out_b / "alpha0_seed1.csv").read_bytes()
         assert a == b
 
+    def test_library_train_at_defaults_matches_simulate(self, capsys, tmp_path):
+        # horizon 16 < window 64 < dim 24 is where a train default of its own
+        # used to score windows with a smaller r_max than simulate did.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("env_seed = 0\ndim = 24\nhorizon = 16\niterations = 100\n")
+        run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "runs"))
+        env = rankshape.build_env(0, d=24, horizon=16)
+        trace = rankshape.train(env, rankshape.biased_init(env), alpha=0.5, iterations=100)
+        trace.to_csv(tmp_path / "lib.csv")
+        simulated = (tmp_path / "runs" / "alpha0.5_seed1.csv").read_bytes()
+        assert (tmp_path / "lib.csv").read_bytes() == simulated
+
     def test_set_overrides_config(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, alpha=0.5, train_seed=1)
         out_dir = tmp_path / "runs"

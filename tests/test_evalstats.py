@@ -55,6 +55,18 @@ def collinear_samples(seed, noise, n=40):
             for r, e, y in zip(eff_rank, entropy, labels)]
 
 
+def quasi_separated_samples(seed, n=60):
+    """eff_rank in {1, 2, 3}: wrong at 1, right at 3, a fair coin at 2;
+    gamma entropies. No maximum-likelihood estimate exists."""
+    rng = np.random.default_rng(seed)
+    eff_rank = rng.integers(1, 4, size=n)
+    coin = rng.uniform(size=n) < 0.5
+    entropy = rng.gamma(2.0, 1.0, size=n)
+    labels = (eff_rank == 3) | ((eff_rank == 2) & coin)
+    return [DecouplingSample(float(r), float(e), bool(y))
+            for r, e, y in zip(eff_rank, entropy, labels)]
+
+
 class TestPassAtK:
     def test_no_correct_samples(self):
         assert pass_at_k(10, 0, 5) == 0.0
@@ -215,6 +227,15 @@ class TestFitDecouplingLogit:
                    for r, e, y in zip(eff_rank, entropy, labels)]
         with pytest.raises(SeparableDataError):
             fit_decoupling_logit(samples)
+
+    # The saturated rows stop contributing to the gradient, which falls below
+    # GRADIENT_TOL while the coefficients still drift; a fit reported there
+    # had standard errors above 1e4.
+    @pytest.mark.parametrize("seed", range(60))
+    def test_quasi_separated_labels_detected(self, seed):
+        with pytest.raises(SeparableDataError) as info:
+            fit_decoupling_logit(quasi_separated_samples(seed))
+        assert info.value.code == "separable_data"
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(InputError):

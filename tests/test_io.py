@@ -291,14 +291,11 @@ class TestRunConfig:
         alpha = 0.25
         iterations = 40   # short run
         label = demo
-
-        verbose = true
         """
         cfg = parse_run_config(text)
         assert cfg.alpha == 0.25
         assert cfg.iterations == 40
         assert cfg.label == "demo"
-        assert cfg.verbose is True
 
     def test_unknown_key_lists_accepted(self):
         with pytest.raises(ConfigError) as info:
@@ -312,16 +309,10 @@ class TestRunConfig:
             parse_run_config("iterations = 3.5\n")
         with pytest.raises(ConfigError):
             parse_run_config("alpha = fast\n")
-        with pytest.raises(ConfigError):
-            parse_run_config("verbose = maybe\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError):
             parse_run_config("alpha 0.5\n")
-
-    def test_bool_spellings(self):
-        assert parse_run_config("verbose = YES\n").verbose is True
-        assert parse_run_config("verbose = off\n").verbose is False
 
     def test_overrides(self):
         cfg = parse_run_config("alpha = 0.5\n")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rankshape
+from test_trace_sites import import_sites
 
 SOURCES = sorted(Path(rankshape.__file__).parent.glob("*.py"))
 
@@ -55,9 +56,10 @@ def test_module_imports_only_stdlib_numpy_and_rankshape(path):
                          ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     """No module-level import goes unused. __init__.py is left out: its
-    import block is the export list. An import marked ``# noqa: F401`` is
-    kept on purpose (perfbench/spans.py traces names where they are
-    imported)."""
+    import block is the export list. An import marked ``# noqa: F401`` may
+    keep only the names that perfbench/spans.py traces where this module
+    imports them (its IMPORT_SITES)."""
+    traced = {attr for module, attr, _ in import_sites() if module == f"rankshape.{path.stem}"}
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source)
@@ -68,10 +70,9 @@ def test_module_uses_every_import(path):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
+        kept = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
-            if name not in used:
+            if name not in used and not (kept and name in traced):
                 unused.append(name)
     assert unused == [], f"{path.name} never uses {unused}"

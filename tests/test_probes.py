@@ -32,15 +32,6 @@ def planar_basis(d=4, spread=2.0, n=40, seed=0):
 
 
 class TestProbeSet:
-    def test_default_labels(self):
-        probes = ProbeSet(np.eye(3))
-        assert probes.labels == ("probe0", "probe1", "probe2")
-        assert probes.vectors.shape == (3, 3) and probes.dim == 3
-
-    def test_label_count_must_match(self):
-        with pytest.raises(InputError):
-            ProbeSet(np.eye(3), labels=("a", "b"))
-
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             ProbeSet(np.array([[1.0, np.nan]]))
@@ -98,10 +89,10 @@ class TestSelectProbe:
             [1.0, 0.5, 0.0, 0.0],   # inside the span
             [0.5, 0.0, 0.8, 0.0],   # partially out
             [0.0, 0.0, 0.0, 1.0],   # fully out
-        ]), labels=("in", "mixed", "out"))
+        ]))
         choice = select_probe(probes, basis)
         assert choice.index == 2
-        assert choice.label == "out"
+        assert choice.label == "probe2"
         assert choice.omega > 0.99
 
     def test_tie_resolves_to_lowest_index(self):
@@ -158,14 +149,6 @@ class TestLookaheadManifold:
         expected[0, 0] = expected[1, 1] = 1.0
         npt.assert_allclose(projector, expected, atol=1e-10)
 
-    def test_list_of_trajectories_form(self):
-        rng = np.random.default_rng(3)
-        mats = [rng.normal(size=(6, 4)) for _ in range(5)]
-        basis = lookahead_manifold(mats, 0.95)
-        assert basis.dim == 4
-        npt.assert_allclose(basis.directions.T @ basis.directions,
-                            np.eye(basis.k), atol=1e-10)
-
     def test_identical_states_raise_zero_variance(self):
         states = np.tile([1.0, 2.0, 3.0], (6, 1))
         with pytest.raises(ZeroVarianceError, match="look-ahead"):
@@ -191,10 +174,10 @@ class TestPlanStitch:
         probes = ProbeSet(np.array([
             [1.0, 1.0, 0.0, 0.0],
             [0.0, 0.0, 1.0, 1.0],
-        ]), labels=("stay", "eject"))
+        ]))
         plan = plan_stitch(self.trace, 7, self.lookahead, probes,
                            energy_threshold=0.999, query_id="q7")
-        assert plan.probe_label == "eject"
+        assert plan.probe_label == "probe1"
         assert select_probe(probes, lookahead_manifold(self.lookahead, 0.999)).index == 1
         assert plan.omega > 0.9
         assert plan.basis_k == 2

@@ -2,10 +2,13 @@
 stride-1 window minimum, the effective rank's invariances and its two eigen
 paths, group advantages, and the HSTB readers (public and as stored)
 against arbitrary bytes, and the CSV reader against the per-cell reader it
-replaced."""
+replaced. Also: a failing property is reported as a failure."""
 
 import csv
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,3 +294,23 @@ def test_csv_round_trip_bit_exact(tmp_path_factory):
         assert np.array_equal(back.view(np.int64), H.view(np.int64))
 
     round_trip()
+
+
+def test_failing_property_is_reported_as_a_failure(tmp_path):
+    """The suite's warning filters (pyproject.toml) must let a failing
+    property end as a FAILED line with exit 1, not as INTERNALERROR (exit 3)
+    from the patch writer hypothesis runs after a failure."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x != x\n", encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "FAILED test_fails.py::test_fails" in output

@@ -5,16 +5,32 @@ import pytest
 from rankshape import (
     DegenerateSpectrumError,
     InputError,
+    ProbeSet,
     Spectrum,
     ZeroVarianceError,
     covariance_spectrum,
     effective_rank,
     erank_or_floor,
     erank_stack,
+    lookahead_manifold,
+    plan_stitch,
     principal_subspace,
     spectral_entropy,
     validate_trajectory,
+    windowed_min_effrank,
+    write_trajectory,
 )
+
+# Every public function that takes a trajectory from a library caller.
+TRAJECTORY_TAKERS = {
+    "validate_trajectory": validate_trajectory,
+    "covariance_spectrum": covariance_spectrum,
+    "windowed_min_effrank": windowed_min_effrank,
+    "principal_subspace": principal_subspace,
+    "lookahead_manifold": lookahead_manifold,
+    "plan_stitch": lambda H: plan_stitch(H, 1, np.eye(3), ProbeSet(np.eye(3))),
+    "write_trajectory": lambda H: write_trajectory("never-written.hstb", H),
+}
 
 
 class TestValidation:
@@ -35,6 +51,19 @@ class TestValidation:
     def test_accepts_lists(self):
         H = validate_trajectory([[1, 2], [3, 4]])
         assert H.dtype == np.float64
+
+    @pytest.mark.parametrize("name", sorted(TRAJECTORY_TAKERS))
+    @pytest.mark.parametrize("values", [
+        [[1.0, 2.0], [3.0]],              # ragged rows
+        [[1.0, 2.0], [3.0, "x"]],         # a string cell
+        [[1.0, 2.0], [3.0, None]],        # a cell that is not a number
+        [[1.0, 2.0], [3.0, [4.0, 5.0]]],  # a nested cell
+    ], ids=["ragged", "string", "none", "nested"])
+    def test_non_numeric_input_is_an_input_error(self, name, values, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InputError):
+            TRAJECTORY_TAKERS[name](values)
+        assert not list(tmp_path.iterdir())
 
 
 class TestSpectrumType:
