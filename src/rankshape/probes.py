@@ -20,6 +20,7 @@ from .errors import InputError, ZeroVarianceError
 from .spectral import (
     DEFAULT_ENERGY_THRESHOLD,
     ManifoldBasis,
+    _real_array,
     principal_subspace,
     validate_trajectory,
 )
@@ -38,7 +39,7 @@ class ProbeSet:
     vectors: np.ndarray  # (M, d)
 
     def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
+        vectors = _real_array(self.vectors, "probe vectors")
         if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 1:
             raise InputError(f"probe vectors must form an (M, d) matrix, got shape {vectors.shape}")
         if not np.all(np.isfinite(vectors)):

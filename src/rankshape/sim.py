@@ -33,7 +33,7 @@ from .rewards import (  # noqa: F401
     total_reward,
 )
 from .spectral import entropy_rows, erank_stack
-from .windows import stacked_min_effrank, windowed_min_effrank  # noqa: F401
+from .windows import _check_windows, stacked_min_effrank, windowed_min_effrank  # noqa: F401
 
 # Null tokens put this fraction range of their norm in the complement and
 # scatter around the target with this much unit-sphere spread. Chosen so
@@ -42,6 +42,21 @@ from .windows import stacked_min_effrank, windowed_min_effrank  # noqa: F401
 # enough that spreading over them raises effective rank.
 NULL_MASS_RANGE = (0.85, 0.98)
 TARGET_SPREAD = 0.5
+
+# train draws the uniforms of as many iterations at a time as fit in this
+# many floats (64 KiB), and _uniforms computes this many (generator, draw)
+# pairs at a time (16 KiB per uint64 temporary), so drawing adds little to
+# a run's peak memory. Drawing the default run as one 1 MiB block raised a
+# 37 MiB collapse benchmark worker's peak RSS by 2 MiB to save 7 ms of a
+# 350 ms run (2-core Xeon VM, numpy 2.4).
+UNIFORM_BLOCK = 2**13
+_DRAW_CHUNK = 2**11
+
+# numpy's SeedSequence hash constants and the PCG64 multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MUL = 2549297995355413924 << 64 | 4865540595714422341
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -77,8 +92,8 @@ class EnvSpec:
 
 
 def _check_seed(seed) -> None:
-    """The simulator's one seed rule: a seed is a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """The simulator's one seed rule: a seed is a non-negative integer, not a bool."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -200,31 +215,152 @@ def _check_draws(draws: int, env: EnvSpec) -> None:
                   f"{draws} draws of horizon {env.horizon} and dimension {env.d} need", "of states")
 
 
+def _entropy_words(entropy) -> list[int]:
+    """numpy's uint32 words of SeedSequence entropy: a non-negative integer as
+    its little-endian words (0 is one word), a list or tuple as its items'
+    words in turn."""
+    if isinstance(entropy, (list, tuple)):
+        return [word for item in entropy for word in _entropy_words(item)]
+    _check_seed(entropy)
+    n = int(entropy)
+    return [n >> 32 * k & 0xFFFFFFFF for k in range(max(1, -(-n.bit_length() // 32)))]
+
+
+def _seed_words(seed) -> list[int]:
+    """The entropy words that default_rng(seed) hashes, for a seed the drawer
+    reproduces: a non-negative integer or a list or tuple of them, or a
+    SeedSequence of either with the default pool size and no spawn key."""
+    if not isinstance(seed, np.random.SeedSequence):
+        return _entropy_words(seed)
+    if seed.pool_size != 4 or seed.spawn_key:
+        raise InputError(f"a SeedSequence seed needs pool_size 4 and no spawn_key, got "
+                         f"{seed.pool_size} and {seed.spawn_key}")
+    return _entropy_words(seed.entropy)
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first count (current, next) constants, init * mult**k mod 2**32, that
+    SeedSequence's hashmix steps through, each as a (count, 1) uint32 column."""
+    h = np.uint32(init) * np.power(np.uint32(mult), np.arange(count + 1, dtype=np.uint32))
+    return h[:-1, None], h[1:, None]
+
+
+def _hashmix(value: np.ndarray, h: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 words under the hash constants h, nxt."""
+    value = (value ^ h) * nxt
+    return value ^ value >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 words."""
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> np.uint32(16)
+
+
+def _mul128(a, b):
+    """a * b mod 2**128 on (high, low) uint64 halves. The high 64 bits of
+    a_lo * b_lo come from 32-bit limbs."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    s = np.uint64(32)
+    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> s, b_lo & _LOW32, b_lo >> s
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> s) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    carry = a1 * b1 + (cross0 >> s) + (cross1 >> s) + (mid >> s)
+    return a_hi * b_lo + a_lo * b_hi + carry, a_lo * b_lo
+
+
+def _uniforms(words: np.ndarray, horizon: int) -> np.ndarray:
+    """default_rng(SeedSequence(row)).random(horizon) for each row of an (N, n)
+    uint32 entropy-word array, bit for bit, all N generators at once.
+
+    SeedSequence hashes the words into a 4-word pool (words past the fourth
+    take its second mixing loop) and generate_state(4, uint64) gives s0..s3.
+    PCG64 sets inc = (s2:s3 << 1) | 1, steps once from 0, adds s0:s1 and steps
+    again. Each draw is a 128-bit LCG step (state * M + inc), the XSL-RR
+    output x of the new state, and (x >> 11) * 2**-53. The state after draw
+    t is computed directly, M**(t + 1) * s0:s1 + (1 + M + ... + M**(t + 1)) *
+    inc mod 2**128, for a chunk of draws at a time.
+    """
+    count, given = words.shape
+    n = max(4, given)  # a missing pool word hashes as 0
+    words = np.concatenate([words.T, np.zeros((n - given, count), np.uint32)])
+    h, nxt = _hash_consts(_INIT_A, _MULT_A, 4 * n)
+    pool = _hashmix(words[:4], h[:4], nxt[:4])
+    for src in range(4):  # pool[src] is unchanged while it mixes into the others
+        dst, k = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k], nxt[k]))
+    for src in range(4, n):
+        k = slice(4 * src, 4 * src + 4)
+        pool = _mix(pool, _hashmix(words[src], h[k], nxt[k]))
+    state = _hashmix(np.tile(pool, (2, 1)), *_hash_consts(_INIT_B, _MULT_B, 8))
+    s0, s1, s2, s3 = (state[0::2] | state[1::2].astype(np.uint64) << np.uint64(32))[:, :, None]
+    one = np.uint64(1)
+    inc = (s2 << one | s3 >> np.uint64(63), s3 << one | one)
+    jumps, power, total = [], _PCG_MUL, 1 + _PCG_MUL
+    for _ in range(horizon):
+        power, total = power * _PCG_MUL % 2**128, (total * _PCG_MUL + 1) % 2**128
+        jumps.append([power >> 64, power & 2**64 - 1, total >> 64, total & 2**64 - 1])
+    jumps = np.array(jumps, dtype=np.uint64).T  # the two factors, as (high, low) rows
+    out = np.empty((count, horizon))
+    width = max(1, _DRAW_CHUNK // count)
+    for t in range(0, horizon, width):
+        cols = slice(t, t + width)
+        (a_hi, a_lo), (b_hi, b_lo) = (_mul128((s0, s1), jumps[:2, cols]),
+                                      _mul128(inc, jumps[2:, cols]))
+        lo = a_lo + b_lo
+        hi = a_hi + b_hi + (lo < b_lo)
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        out[:, cols] = (x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))) >> np.uint64(11)
+    out *= 2.0**-53
+    return out
+
+
+def _check_policy(policy: PolicyParams, env: EnvSpec) -> None:
+    """Refuse a policy whose logits do not match the vocabulary."""
+    if policy.logits.size != env.vocab:
+        raise InputError(
+            f"policy has {policy.logits.size} logits for a {env.vocab}-token vocabulary")
+
+
 def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     """Sample one rollout per seed and run the group's state recurrences together.
 
-    Each seed is anything numpy's default_rng accepts (int, SeedSequence,
-    Generator); rollout i draws horizon uniforms from its own generator, so
-    it does not depend on the rest of the group. Tokens come from the
-    policy's inverse CDF: one searchsorted maps the (G, horizon) block of
-    uniforms to token ids. This is what Generator.choice(vocab, p=probs)
-    does inside, so the tokens equal its draws, draw for draw. The leaky
-    recurrence then runs time-major, one (G, d) group state per step.
-    Correctness: the normalized final state's projection on u_star reaches
-    tau.
+    Each seed is a non-negative integer (Python or numpy) or a list or
+    tuple of them, or a SeedSequence whose entropy is one of those, with
+    the default pool size and no spawn key. Anything else, such as a
+    Generator, a negative or bool seed or a spawned SeedSequence, is an
+    InputError. Rollout i draws the horizon uniforms that
+    default_rng(seed i).random(horizon) would, so it does not depend on the
+    rest of the group. The uniforms come from rankshape's own
+    SeedSequence/PCG64 code (_uniforms), which a test pins to numpy's bits;
+    _sample maps them to tokens, states and verdicts.
 
     Returns (tokens, states, correct) with shapes (G, horizon),
     (G, horizon, d) and (G,).
     """
-    if policy.logits.size != env.vocab:
-        raise InputError(
-            f"policy has {policy.logits.size} logits for a {env.vocab}-token vocabulary")
-    seeds = list(seeds)
-    if not seeds:
+    _check_policy(policy, env)
+    words = [_seed_words(seed) for seed in seeds]
+    if not words:
         raise InputError("cannot sample an empty group: no seeds given")
+    u = np.empty((len(words), env.horizon))
+    for n in set(map(len, words)):
+        rows = [i for i, w in enumerate(words) if len(w) == n]
+        u[rows] = _uniforms(np.array([words[i] for i in rows], dtype=np.uint32), env.horizon)
+    return _sample(policy, env, u)
+
+
+def _sample(policy: PolicyParams, env: EnvSpec, u: np.ndarray):
+    """The rollouts whose uniforms are the rows of the (G, horizon) array u.
+
+    Tokens come from the policy's inverse CDF: one searchsorted maps the
+    block of uniforms to token ids. This is what Generator.choice(vocab,
+    p=probs) does inside, so the tokens equal its draws, draw for draw. The
+    leaky recurrence then runs time-major, one (G, d) group state per step.
+    Correctness: the normalized final state's projection on u_star reaches
+    tau.
+    """
     cdf = policy.probs().cumsum()
     cdf /= cdf[-1]
-    u = np.array([np.random.default_rng(s).random(env.horizon) for s in seeds])
     tokens = cdf.searchsorted(u, side="right")
     steps = env.directions[tokens.T]  # (horizon, G, d): each step one contiguous block
     for t in range(1, env.horizon):
@@ -339,17 +475,23 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     seed and the iteration index, so runs are bit-reproducible), scores
     them with the gated rank reward at this alpha, standardizes within the
     group, and ascends the advantage-weighted log-probability. No KL term,
-    no clipping, no baseline beyond the group mean.
+    no clipping, no baseline beyond the group mean. Every argument is
+    checked before the first draw.
     """
     _check_seed(seed)
     check_alpha(alpha)
+    _check_policy(init_policy, env)
     if group_size < 2:
         raise GroupSizeError(f"group too small: need at least 2 rollouts, got {group_size}")
     if iterations < 1:
         raise InputError(f"iterations must be >= 1, got {iterations}")
     if not 0.0 <= learning_rate < np.inf:
         raise InputError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+    _check_windows(env.horizon, window, stride)
     _check_draws(group_size, env)
+    if max(iterations, group_size) > 2**32:  # each index is one uint32 entropy word
+        raise InputError(f"iterations and group_size must be at most 2**32, got "
+                         f"{iterations} and {group_size}")
 
     policy = init_policy.copy()
     its = np.arange(iterations)
@@ -358,9 +500,17 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     rewards_out = np.empty(iterations)
     entropies = np.empty(iterations)
 
+    # Rollout i of iteration it draws as SeedSequence([seed, it, i]) would,
+    # a block of iterations at a time.
+    block = max(1, UNIFORM_BLOCK // (group_size * env.horizon))
+    prefix = _entropy_words(seed)
     for it in range(iterations):
-        tokens, states, correct = sample_group(
-            policy, env, [np.random.SeedSequence([seed, it, i]) for i in range(group_size)])
+        if it % block == 0:
+            rollouts = np.arange(it * group_size, min(it + block, iterations) * group_size)
+            words = np.column_stack([np.tile(prefix, (rollouts.size, 1)),
+                                     *np.divmod(rollouts, group_size)]).astype(np.uint32)
+            u = _uniforms(words, env.horizon).reshape(-1, group_size, env.horizon)
+        tokens, states, correct = _sample(policy, env, u[it % block])
         min_eranks, norm_ranks = stacked_min_effrank(states, window, stride)
         rewards = gated_rewards(correct, norm_ranks, alpha)
         advantages = group_advantages(rewards)

@@ -26,6 +26,18 @@ EIGENVALUE_FLOOR = 1e-12
 DEFAULT_ENERGY_THRESHOLD = 0.9
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a float64 array. Complex numbers are refused, not cast to
+    their real parts, and so are ragged rows and cells that are not numbers."""
+    try:
+        A = np.asarray(values)
+        if np.iscomplexobj(A):
+            raise InputError(f"{what} must be real, got complex numbers")
+        return A.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a numeric matrix: {exc}") from None
+
+
 def validate_trajectory(values) -> np.ndarray:
     """Coerce to a float64 (T, d) matrix, rejecting non-finite entries.
 
@@ -35,10 +47,7 @@ def validate_trajectory(values) -> np.ndarray:
     again; the cores behind both (_centered_eigh, windows._window_eranks)
     trust their input.
     """
-    try:
-        H = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged rows, or a cell that is not a number
-        raise InputError(f"trajectory is not a numeric matrix: {exc}") from None
+    H = _real_array(values, "trajectory")
     if H.ndim != 2:
         raise InputError(f"trajectory must be 2-D, got shape {H.shape}")
     if H.shape[0] < 1 or H.shape[1] < 1:

@@ -68,17 +68,22 @@ def _normalize(min_erank, r_max: int):
     return np.clip((min_erank - 1.0) / (r_max - 1.0), 0.0, 1.0)
 
 
-def _score_windows(H: np.ndarray, width: int, stride: int):
-    """Check the window arguments against a (..., T, d) trajectory stack and
-    score its windows: returns (starts, eranks with shape (..., windows),
-    r_max, the normalization ceiling of the width in d dimensions)."""
-    T, d = H.shape[-2:]
+def _check_windows(T: int, width: int, stride: int) -> None:
+    """The window arguments' rule, for trajectories of T steps."""
     if T < 2:
         raise TrajectoryTooShortError("trajectory too short: need at least 2 steps")
     if width < 2:
         raise InputError(f"window width must be >= 2, got {width}")
     if stride < 1:
         raise InputError(f"stride must be >= 1, got {stride}")
+
+
+def _score_windows(H: np.ndarray, width: int, stride: int):
+    """Check the window arguments against a (..., T, d) trajectory stack and
+    score its windows: returns (starts, eranks with shape (..., windows),
+    r_max, the normalization ceiling of the width in d dimensions)."""
+    T, d = H.shape[-2:]
+    _check_windows(T, width, stride)
     starts = window_starts(T, width, stride)
     return starts, _window_eranks(H, np.asarray(starts), min(width, T)), int(min(width, d))
 

@@ -40,6 +40,18 @@ class TestProbeSet:
         with pytest.raises(InputError):
             ProbeSet(np.ones(3))
 
+    @pytest.mark.parametrize("make", [
+        lambda v: ProbeSet(v),
+        lambda v: orthogonality_score(v[0], planar_basis()),
+    ], ids=["ProbeSet", "orthogonality_score"])
+    def test_rejects_complex(self, make):
+        with pytest.raises(InputError, match="probe vectors must be real"):
+            make(np.array([[1.0, 2.0j, 0.0, 0.0]]))
+
+    def test_non_numeric_is_an_input_error(self):
+        with pytest.raises(InputError, match="probe vectors must be a numeric matrix"):
+            ProbeSet([[1.0, "x"]])
+
 
 class TestOrthogonalityScore:
     def test_in_span_scores_zero(self):

@@ -12,6 +12,7 @@ from rankshape import (
     PolicyParams,
     RangeError,
     SimTrace,
+    TrajectoryTooShortError,
     biased_init,
     build_env,
     covariance_spectrum,
@@ -24,6 +25,7 @@ from rankshape import (
     train,
     weighted_log_prob,
 )
+from rankshape import sim
 
 
 def pinned_policy(env, token_id):
@@ -239,6 +241,115 @@ def test_tokens_equal_generator_choice():
     assert zeros_seen > 100
 
 
+def numpy_uniforms(seed, horizon):
+    return np.random.default_rng(seed).random(horizon)
+
+
+def drawn_uniforms(seeds, horizon):
+    """sim._uniforms of same-length seed words, as one (N, horizon) call."""
+    return sim._uniforms(np.array([sim._seed_words(s) for s in seeds], dtype=np.uint32),
+                         horizon)
+
+
+SS = np.random.SeedSequence
+
+
+def seed_id(seed):
+    return f"SeedSequence({seed.entropy})" if isinstance(seed, SS) else repr(seed)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 37])
+@pytest.mark.parametrize("seed", [
+    0, 1, 7, 2**31 + 5, 2**32 - 1, 2**32, 2**64 + 5, 99999999999999999999999, np.uint64(2**63),
+    np.int8(3), [3, 2**40], (0, 0), SS(0), SS([]), SS([5, 0, 0, 0]), SS([1, 2, 3, 4, 5]),
+    SS(list(range(11))), SS([2**40, 7, 2**70]), SS((3, np.uint32(2**32 - 1))), SS([[1, 2], [3]]),
+], ids=seed_id)
+def test_uniforms_equal_numpy(seed, horizon):
+    """The drawer's uniforms are default_rng(seed).random(horizon), bit for bit."""
+    u = drawn_uniforms([seed], horizon)
+    assert u.shape == (1, horizon)
+    assert np.array_equal(u[0].view(np.int64), numpy_uniforms(seed, horizon).view(np.int64))
+
+
+def test_uniforms_equal_numpy_over_random_entropy():
+    rng = np.random.default_rng(17)
+
+    def number(nbytes):  # a random number of 0 to 8 * nbytes bits
+        return int.from_bytes(rng.bytes(nbytes), "little") >> int(rng.integers(8 * nbytes + 1))
+
+    by_length = {}
+    for _ in range(600):
+        entropy = ([number(16) for _ in range(int(rng.integers(0, 8)))] if rng.random() < 0.8
+                   else number(32))
+        seed = SS(entropy)
+        by_length.setdefault(len(sim._seed_words(seed)), []).append(seed)
+    assert max(by_length) >= 10
+    for seeds in by_length.values():
+        horizon = int(rng.integers(1, 40))
+        u = drawn_uniforms(seeds, horizon)
+        for row, seed in zip(u, seeds):
+            assert np.array_equal(row.view(np.int64),
+                                  numpy_uniforms(seed, horizon).view(np.int64)), seed
+
+
+def test_uniforms_equal_numpy_across_draw_chunks():
+    """A group large enough that its draws are computed in several chunks,
+    the last one partial."""
+    seeds = [SS([k, 3]) for k in range(300)]
+    width = sim._DRAW_CHUNK // len(seeds)
+    horizon = 3 * width + 1
+    u = drawn_uniforms(seeds, horizon)
+    expected = np.array([numpy_uniforms(seed, horizon) for seed in seeds])
+    assert np.array_equal(u.view(np.int64), expected.view(np.int64))
+
+
+def test_group_of_mixed_seed_lengths_equals_generator_choice():
+    env = build_env(3)
+    policy = PolicyParams(np.random.default_rng(3).normal(size=env.vocab))
+    seeds = [0, SS([1, 2, 3, 4, 5, 6]), 2**64 + 5, SS([9, 1]), 4, SS([1, 2, 3, 4, 5, 7])]
+    tokens, _, _ = sample_group(policy, env, seeds)
+    for row, seed in zip(tokens, seeds):
+        expected = np.random.default_rng(seed).choice(env.vocab, size=env.horizon,
+                                                      p=policy.probs())
+        assert np.array_equal(row, expected)
+
+
+@pytest.mark.parametrize("seed", [
+    np.random.default_rng(0), np.random.PCG64(0), -1, True, None, 1.5, "7", [1, -2],
+    np.array([1, 2]), SS(np.array([1, 2])), SS(1, pool_size=8), SS(1).spawn(1)[0],
+], ids=["Generator", "PCG64", "negative", "bool", "None", "float", "str", "negative-item",
+        "array", "array-entropy", "pool-size-8", "spawn-key"])
+def test_seeds_the_drawer_cannot_reproduce_are_refused(seed):
+    env = build_env(0)
+    with pytest.raises(InputError, match="seed must be a non-negative integer|pool_size 4"):
+        sample_group(biased_init(env), env, [3, seed])
+
+
+def test_train_tokens_equal_per_rollout_generators(monkeypatch):
+    """Across several blocks of drawn iterations (the last one partial), each
+    iteration's tokens are Generator.choice's from SeedSequence([seed, it, i])."""
+    env = build_env(6, horizon=64)
+    group, seed = 16, 2**70 + 11  # a 3-word seed: rows of 5 words
+    block = sim.UNIFORM_BLOCK // (group * env.horizon)
+    iterations = 2 * block + 3
+    seen = []
+    core = sim._sample
+
+    def spy(policy, env, u):
+        out = core(policy, env, u)
+        seen.append((policy.probs(), out[0]))
+        return out
+
+    monkeypatch.setattr(sim, "_sample", spy)
+    train(env, biased_init(env), alpha=0.5, group_size=group, iterations=iterations, seed=seed)
+    assert len(seen) == iterations
+    for it, (p, tokens) in enumerate(seen):
+        for i, row in enumerate(tokens):
+            expected = np.random.default_rng(SS([seed, it, i])).choice(
+                env.vocab, size=env.horizon, p=p)
+            assert np.array_equal(row, expected), (it, i)
+
+
 def test_empty_seed_list_refused():
     env = build_env(0)
     with pytest.raises(InputError, match="empty group"):
@@ -363,6 +474,27 @@ class TestTrain:
             train(env, init, alpha=0.0, seed=-2)
 
 
+@pytest.mark.parametrize("change, error, match", [
+    ({"horizon": 1}, TrajectoryTooShortError, "trajectory too short"),
+    ({"window": 1}, InputError, "window width must be >= 2"),
+    ({"stride": 0}, InputError, "stride must be >= 1"),
+    ({"seed": True}, InputError, "seed must be a non-negative integer"),
+    ({"vocab": 3}, InputError, "logits for a 32-token vocabulary"),
+    ({"iterations": 2**32 + 1}, InputError, r"at most 2\*\*32"),
+], ids=["horizon-1", "window-1", "stride-0", "bool-seed", "vocab-mismatch", "iterations"])
+def test_train_checks_every_argument_before_drawing(monkeypatch, change, error, match):
+    def no_draws(*args):
+        raise AssertionError("train drew uniforms before refusing its arguments")
+
+    monkeypatch.setattr(sim, "_uniforms", no_draws)
+    kwargs = dict(change)
+    env = build_env(0, horizon=kwargs.pop("horizon", 32))
+    init = PolicyParams(np.zeros(kwargs.pop("vocab", env.vocab)))
+    with pytest.raises(error, match=match) as info:
+        train(env, init, alpha=0.5, **kwargs)
+    assert info.value.code == error.code
+
+
 SEED_ENTRY_POINTS = {
     "build_env": lambda env, seed: build_env(seed),
     "train": lambda env, seed: train(env, biased_init(env), alpha=0.5, iterations=1, seed=seed),
@@ -399,7 +531,7 @@ def test_env_frame_beyond_physical_memory_refused():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 @pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
 def test_seed_must_be_a_non_negative_integer(entry, seed):
     with pytest.raises(InputError, match="seed must be a non-negative integer"):

@@ -65,6 +65,18 @@ class TestValidation:
             TRAJECTORY_TAKERS[name](values)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name", sorted(TRAJECTORY_TAKERS))
+    @pytest.mark.parametrize("values", [
+        [[1 + 5j, 2], [3, 4], [0, 1j]],
+        np.array([[1, 2], [3, 4], [0, 1]], dtype=np.complex128),  # zero imaginary parts
+    ], ids=["complex", "complex-dtype"])
+    def test_complex_input_is_an_input_error(self, name, values, tmp_path, monkeypatch):
+        # Casting would keep the real parts and drop the rest with only a warning.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InputError, match="must be real, got complex numbers"):
+            TRAJECTORY_TAKERS[name](values)
+        assert not list(tmp_path.iterdir())
+
 
 class TestSpectrumType:
     def test_rejects_negative(self):
