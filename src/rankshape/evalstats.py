@@ -21,6 +21,7 @@ from .errors import (
     SeparableDataError,
 )
 from .io import text_lines
+from .spectral import _check_int
 
 DECOUPLING_CSV_HEADER = ("eff_rank", "entropy", "correct")
 
@@ -62,15 +63,17 @@ class PassCounts:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        _check_int(self.n, "n")
         if self.n < 1:
             raise RangeError(f"n must be >= 1, got {self.n}")
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(self.counts)
         if not counts:
             raise InputError("need at least one problem")
         for c in counts:
+            _check_int(c, "count")
             if not 0 <= c <= self.n:
                 raise RangeError(f"count {c} outside [0, {self.n}]")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", tuple(map(int, counts)))
 
     @property
     def problems(self) -> int:
@@ -88,13 +91,13 @@ def pass_curve(pc: PassCounts, ks) -> dict[int, float]:
     wrong = pc.n - np.array(pc.counts)
     result: dict[int, float] = {}
     for k in ks:
-        k = int(k)
+        _check_int(k, "k")
         if not 1 <= k <= pc.n:
             raise RangeError(f"k must be in [1, {pc.n}], got {k}")
         miss = np.ones(pc.problems)
         for i in range(k):
             miss *= (wrong - i) / (pc.n - i)
-        result[k] = float(np.mean(1.0 - miss))
+        result[int(k)] = float(np.mean(1.0 - miss))
     return result
 
 

@@ -20,7 +20,7 @@ from .errors import InputError, ZeroVarianceError
 from .spectral import (
     DEFAULT_ENERGY_THRESHOLD,
     ManifoldBasis,
-    _real_array,
+    _finite_array,
     principal_subspace,
     validate_trajectory,
 )
@@ -39,12 +39,7 @@ class ProbeSet:
     vectors: np.ndarray  # (M, d)
 
     def __post_init__(self):
-        vectors = _real_array(self.vectors, "probe vectors")
-        if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 1:
-            raise InputError(f"probe vectors must form an (M, d) matrix, got shape {vectors.shape}")
-        if not np.all(np.isfinite(vectors)):
-            raise InputError("probe vectors contain non-finite values")
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "vectors", _finite_array(self.vectors, "probe vectors", 2))
 
     @property
     def dim(self) -> int:
@@ -89,13 +84,11 @@ class StitchPlan:
 def lookahead_manifold(samples, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD) -> ManifoldBasis:
     """Principal subspace of look-ahead states around one prefix.
 
-    ``samples`` is an (N, d) matrix with one summary state per look-ahead.
+    ``samples`` is an (N, d) matrix with one summary state per look-ahead,
+    N >= 2; principal_subspace checks it.
     """
-    states = validate_trajectory(samples)
-    if states.shape[0] < 2:
-        raise InputError("need at least 2 look-ahead states")
     try:
-        return principal_subspace(states, energy_threshold)
+        return principal_subspace(samples, energy_threshold)
     except ZeroVarianceError:
         raise ZeroVarianceError("zero-variance look-ahead: all states identical") from None
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupSizeError, InputError
+from .spectral import _finite_array
 
 DEFAULT_ALPHA = 0.5
 # Reward spreads below this carry no ranking signal; advantages are zeroed
@@ -55,14 +56,17 @@ def group_advantages(rewards) -> np.ndarray:
     """Standardize rewards within one group: (R - mean) / population std.
 
     Returns all zeros when the spread is below STD_FLOOR (all rollouts
-    equally good; nothing to rank).
+    equally good; nothing to rank). A group with a reward past 2**500 is
+    first scaled by 2**-600, so that its squares stay finite; scaling by a
+    power of two is exact, so the standardized values do not change.
     """
-    r = np.asarray(rewards, dtype=np.float64)
-    if r.ndim != 1 or r.size < 2:
-        raise GroupSizeError("group too small: need at least 2 rewards")
-    if not np.all(np.isfinite(r)):
-        raise InputError("rewards contain non-finite values")
-    std = float(r.std())
-    if std < STD_FLOOR:
+    r = _finite_array(rewards, "rewards", 1, least=2, short=GroupSizeError)
+    floor = STD_FLOOR
+    if np.abs(r).max() > 2.0**500:
+        r, floor = r * 2.0**-600, floor * 2.0**-600
+    # The same operations as r.std() and r.mean(), with one mean.
+    dev = r - r.sum() / r.size
+    std = np.sqrt((dev * dev).sum() / r.size)
+    if std < floor:
         return np.zeros_like(r)
-    return (r - r.mean()) / std
+    return dev / std

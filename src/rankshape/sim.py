@@ -32,8 +32,8 @@ from .rewards import (  # noqa: F401
     group_advantages,
     total_reward,
 )
-from .spectral import entropy_rows, erank_stack
-from .windows import _check_windows, stacked_min_effrank, windowed_min_effrank  # noqa: F401
+from .spectral import _check_int, _finite_array, entropy_rows, erank_stack
+from .windows import stacked_min_effrank, window_starts, windowed_min_effrank  # noqa: F401
 
 # Null tokens put this fraction range of their norm in the complement and
 # scatter around the target with this much unit-sphere spread. Chosen so
@@ -169,12 +169,7 @@ class PolicyParams:
     logits: np.ndarray
 
     def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
-        if logits.ndim != 1 or logits.size < 1:
-            raise InputError(f"logits must be a non-empty vector, got shape {logits.shape}")
-        if not np.all(np.isfinite(logits)):
-            raise InputError("logits must be finite")
-        self.logits = logits
+        self.logits = _finite_array(self.logits, "logits", 1)
 
     def probs(self) -> np.ndarray:
         return _softmax(self.logits)
@@ -481,13 +476,15 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     _check_seed(seed)
     check_alpha(alpha)
     _check_policy(init_policy, env)
+    _check_int(group_size, "group_size")
+    _check_int(iterations, "iterations")
     if group_size < 2:
         raise GroupSizeError(f"group too small: need at least 2 rollouts, got {group_size}")
     if iterations < 1:
         raise InputError(f"iterations must be >= 1, got {iterations}")
     if not 0.0 <= learning_rate < np.inf:
         raise InputError(f"learning_rate must be finite and >= 0, got {learning_rate}")
-    _check_windows(env.horizon, window, stride)
+    window_starts(env.horizon, window, stride)  # checks the window arguments
     _check_draws(group_size, env)
     if max(iterations, group_size) > 2**32:  # each index is one uint32 entropy word
         raise InputError(f"iterations and group_size must be at most 2**32, got "
@@ -555,6 +552,7 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
         raise InputError("scales must be positive")
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise InputError("scales must be strictly ascending")
+    _check_int(samples_per_scale, "samples_per_scale")
     if samples_per_scale < 1:
         raise RangeError(f"samples_per_scale must be >= 1, got {samples_per_scale}")
     _check_draws(samples_per_scale, env)
@@ -563,7 +561,7 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
     for j, s in enumerate(scales):
         _, states, _ = sample_group(
             PolicyParams(s * policy.logits), env,
-            [np.random.SeedSequence([seed, j, i]) for i in range(samples_per_scale)])
+            [[seed, j, i] for i in range(samples_per_scale)])
         values = erank_stack(states)
         means.append(float(values.mean()))
         errors.append(float(values.std(ddof=1) / np.sqrt(samples_per_scale))
@@ -581,10 +579,10 @@ def geometric_barrier_probe(policy: PolicyParams, env: EnvSpec, delta: float,
     _check_seed(seed)
     if delta <= 0.0:
         raise RangeError(f"delta must be positive, got {delta}")
+    _check_int(samples, "samples")
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
     _check_draws(samples, env)
-    _, states, _ = sample_group(
-        policy, env, [np.random.SeedSequence([seed, i]) for i in range(samples)])
+    _, states, _ = sample_group(policy, env, [[seed, i] for i in range(samples)])
     escaped = np.linalg.norm(env.null_component(states[:, -1].T), axis=0) > delta
     return int(escaped.sum()) / samples

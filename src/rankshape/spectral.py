@@ -26,16 +26,34 @@ EIGENVALUE_FLOOR = 1e-12
 DEFAULT_ENERGY_THRESHOLD = 0.9
 
 
-def _real_array(values, what: str) -> np.ndarray:
-    """values as a float64 array. Complex numbers are refused, not cast to
-    their real parts, and so are ragged rows and cells that are not numbers."""
+def _finite_array(values, what: str, ndim: int, least: int = 1, short=InputError) -> np.ndarray:
+    """The one array check of the library's public entry points: values as
+    a float64 array of ndim axes, each at least ``least`` long (else
+    ``short`` is raised), with finite real entries. Anything else, such as
+    complex numbers, strings, ragged rows or NaN, is an InputError."""
     try:
         A = np.asarray(values)
         if np.iscomplexobj(A):
             raise InputError(f"{what} must be real, got complex numbers")
-        return A.astype(np.float64, copy=False)
+        if A.dtype.kind not in "biufO":
+            raise TypeError(f"got {A.dtype} entries")
+        A = A.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} must be a numeric matrix: {exc}") from None
+        kind = "vector" if ndim == 1 else "matrix"
+        raise InputError(f"{what} must be a numeric {kind}: {exc}") from None
+    if A.ndim != ndim:
+        raise InputError(f"{what} must be {ndim}-D, got shape {A.shape}")
+    if min(A.shape) < least:
+        raise short(f"{what} must have {least} or more entries on each axis, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise InputError(f"{what} must be finite")
+    return A
+
+
+def _check_int(value, what: str) -> None:
+    """Refuse a count or size that is not an integer; a bool is not one."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def validate_trajectory(values) -> np.ndarray:
@@ -47,14 +65,7 @@ def validate_trajectory(values) -> np.ndarray:
     again; the cores behind both (_centered_eigh, windows._window_eranks)
     trust their input.
     """
-    H = _real_array(values, "trajectory")
-    if H.ndim != 2:
-        raise InputError(f"trajectory must be 2-D, got shape {H.shape}")
-    if H.shape[0] < 1 or H.shape[1] < 1:
-        raise InputError(f"trajectory must have at least one row and column, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise InputError("trajectory contains non-finite values")
-    return H
+    return _finite_array(values, "trajectory", 2)
 
 
 @dataclass(frozen=True)
@@ -64,11 +75,7 @@ class Spectrum:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        if vals.ndim != 1 or vals.size == 0:
-            raise InputError("eigenvalues must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(vals)):
-            raise InputError("eigenvalues must be finite")
+        vals = _finite_array(self.eigenvalues, "eigenvalues", 1)
         if np.any(vals < 0.0):
             raise InputError("eigenvalues must be nonnegative")
         if np.any(np.diff(vals) > 0.0):

@@ -15,6 +15,7 @@ from .errors import InputError, NormalizationError, TrajectoryTooShortError
 # covariance_spectrum is not called here, but perfbench/spans.py traces it
 # under rankshape.windows, so the name must keep resolving in this module.
 from .spectral import (  # noqa: F401
+    _check_int,
     _erank_rows,
     _top_eigen,
     covariance_spectrum,
@@ -52,8 +53,16 @@ def window_starts(T: int, width: int, stride: int) -> list[int]:
 
     Strided starts, plus a final window flushed to the trajectory end when
     the grid does not land on it. A trajectory no longer than the width is
-    a single window.
+    a single window. The arguments are integers under _check_windows' rule.
     """
+    for what, value in (("T", T), ("window width", width), ("stride", stride)):
+        _check_int(value, what)
+    _check_windows(T, width, stride)
+    return _starts(T, width, stride)
+
+
+def _starts(T: int, width: int, stride: int) -> list[int]:
+    """window_starts of arguments already checked."""
     if T <= width:
         return [0]
     starts = list(range(0, T - width + 1, stride))
@@ -84,7 +93,7 @@ def _score_windows(H: np.ndarray, width: int, stride: int):
     r_max, the normalization ceiling of the width in d dimensions)."""
     T, d = H.shape[-2:]
     _check_windows(T, width, stride)
-    starts = window_starts(T, width, stride)
+    starts = _starts(T, width, stride)
     return starts, _window_eranks(H, np.asarray(starts), min(width, T)), int(min(width, d))
 
 

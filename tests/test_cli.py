@@ -175,6 +175,18 @@ class TestAdvantage:
         assert lines[0] == "1.000000,-1.000000"
         assert lines[1] == "0.000000,0.000000,0.000000"
 
+    def test_huge_rewards_print_no_warning(self, tmp_path):
+        # A subprocess, so that a numpy overflow warning would reach the real stderr.
+        path = tmp_path / "rewards.csv"
+        path.write_text("1.7e308,1.7e308\n1e200,-1e200\n")
+        src = str(Path(rankshape.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "rankshape.cli", "advantage", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "0.000000,0.000000\n1.000000,-1.000000\n"
+
     def test_short_group_exit_1(self, capsys, tmp_path):
         path = tmp_path / "rewards.csv"
         path.write_text("1.0\n")

@@ -111,6 +111,23 @@ class TestPassAtK:
         with pytest.raises(RangeError):
             pass_at_k(4, -1, 2)
 
+    @pytest.mark.parametrize("call", [
+        lambda: PassCounts(4.5, (1,)),
+        lambda: PassCounts(4, (1.5,)),
+        lambda: PassCounts(True, (1,)),
+        lambda: pass_curve(PassCounts(4, (1,)), [2.5]),
+        lambda: pass_at_k(4, 1, "2"),
+        lambda: pass_at_k(4.0, 1, 2),
+    ], ids=["n-float", "count-float", "n-bool", "k-float", "k-string", "pass_at_k-n-float"])
+    def test_non_integer_is_an_input_error(self, call):
+        with pytest.raises(InputError, match="must be an integer") as info:
+            call()
+        assert info.value.code == "input"
+
+    def test_numpy_integers_are_integers(self):
+        assert pass_at_k(np.int64(4), np.int32(2), np.int64(2)) == pass_at_k(4, 2, 2)
+        assert PassCounts(4, np.array([1, 2])).counts == (1, 2)
+
 
 def reference_pass_at_k(n, c, k):
     """The per-problem running product of earlier versions."""

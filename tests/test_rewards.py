@@ -93,6 +93,22 @@ class TestGroupAdvantages:
                 assert abs(adv.mean()) < 1e-9
                 assert abs(adv.std() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("rewards, expected", [
+        ([1.7e308, 1.7e308], [0.0, 0.0]),
+        ([1e200, -1e200], [1.0, -1.0]),
+        ([1.7e308, -1.7e308, 0.0], [np.sqrt(1.5), -np.sqrt(1.5), 0.0]),
+        ([2.0**600, 2.0**600 + 2.0**560], [-1.0, 1.0]),  # a spread far above STD_FLOOR
+    ], ids=["equal-near-max", "opposite", "max-spread", "narrow-spread"])
+    def test_huge_rewards_standardize_without_overflow(self, rewards, expected):
+        npt.assert_allclose(group_advantages(rewards), expected, rtol=1e-15, atol=0.0)
+
+    def test_power_of_two_scaling_keeps_every_bit(self):
+        # Past 2**500 a group is scaled back by an exact power of two.
+        rewards = np.random.default_rng(2).uniform(0.0, 1.5, size=(20, 8))
+        for row in rewards:
+            for scale in (2.0**499, 2.0**600, 2.0**1000):
+                assert np.array_equal(group_advantages(row * scale), group_advantages(row))
+
     def test_shift_and_scale_invariance(self):
         rng = np.random.default_rng(1)
         rewards = rng.uniform(0.0, 1.5, size=8)

@@ -481,7 +481,11 @@ class TestTrain:
     ({"seed": True}, InputError, "seed must be a non-negative integer"),
     ({"vocab": 3}, InputError, "logits for a 32-token vocabulary"),
     ({"iterations": 2**32 + 1}, InputError, r"at most 2\*\*32"),
-], ids=["horizon-1", "window-1", "stride-0", "bool-seed", "vocab-mismatch", "iterations"])
+    ({"iterations": 2.5}, InputError, "iterations must be an integer"),
+    ({"window": 8.0}, InputError, "window width must be an integer"),
+    ({"stride": 4.0}, InputError, "stride must be an integer"),
+], ids=["horizon-1", "window-1", "stride-0", "bool-seed", "vocab-mismatch", "iterations",
+        "iterations-float", "window-float", "stride-float"])
 def test_train_checks_every_argument_before_drawing(monkeypatch, change, error, match):
     def no_draws(*args):
         raise AssertionError("train drew uniforms before refusing its arguments")
@@ -517,6 +521,44 @@ DRAW_ENTRY_POINTS = {
 def test_draws_beyond_physical_memory_refused(entry):
     with pytest.raises(InputError, match="^1000000000000 draws of horizon 32 and dimension 16"):
         DRAW_ENTRY_POINTS[entry](build_env(0), 10**12)
+
+
+# Each Monte Carlo estimate, with the entropy of its samples' seeds in order.
+MONTE_CARLO = {
+    "temperature_sweep": (
+        lambda env: temperature_sweep(biased_init(env), env, [1.0, 2.0], 16, seed=11),
+        [[11, j, i] for j in range(2) for i in range(16)]),
+    "geometric_barrier_probe": (
+        lambda env: geometric_barrier_probe(PolicyParams(np.zeros(env.vocab)), env, 0.5, 64,
+                                            seed=11),
+        [[11, i] for i in range(64)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MONTE_CARLO))
+def test_entropy_lists_draw_as_seed_sequences(entry, monkeypatch):
+    # Sample i's seed is its entropy list, which draws the rollout that
+    # SeedSequence(entropy) does, so the estimate is the same.
+    env = build_env(2)
+    call, entropy = MONTE_CARLO[entry]
+    seeds = []
+    listed = call(env)
+
+    def via_seed_sequences(policy, env, group):
+        seeds.extend(group)
+        return sample_group(policy, env, [np.random.SeedSequence(s) for s in group])
+
+    monkeypatch.setattr(sim, "sample_group", via_seed_sequences)
+    assert call(env) == listed
+    assert seeds == entropy
+
+
+@pytest.mark.parametrize("entry", sorted(DRAW_ENTRY_POINTS))
+@pytest.mark.parametrize("count", [2.5, 8.0, True])
+def test_draw_counts_must_be_integers(entry, count):
+    with pytest.raises(InputError, match="must be an integer") as info:
+        DRAW_ENTRY_POINTS[entry](build_env(0), count)
+    assert info.value.code == "input"
 
 
 def test_env_frame_beyond_physical_memory_refused():

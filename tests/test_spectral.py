@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from rankshape import (
     DegenerateSpectrumError,
     InputError,
+    PolicyParams,
     ProbeSet,
     Spectrum,
     ZeroVarianceError,
@@ -12,6 +15,7 @@ from rankshape import (
     effective_rank,
     erank_or_floor,
     erank_stack,
+    group_advantages,
     lookahead_manifold,
     plan_stitch,
     principal_subspace,
@@ -32,8 +36,44 @@ TRAJECTORY_TAKERS = {
     "write_trajectory": lambda H: write_trajectory("never-written.hstb", H),
 }
 
+# Every public entry point whose whole array check is spectral._finite_array,
+# with the number of axes it takes.
+ARRAY_TAKERS = {
+    "validate_trajectory": (validate_trajectory, 2),
+    "ProbeSet": (ProbeSet, 2),
+    "Spectrum": (Spectrum, 1),
+    "PolicyParams": (PolicyParams, 1),
+    "group_advantages": (group_advantages, 1),
+}
+
+# Each bad input as a vector and as a matrix.
+NAN, INF = float("nan"), float("inf")
+BAD_ARRAYS = {
+    "string-cell": ([2.0, "a"], [[1.0, 2.0], [3.0, "a"]]),
+    "number-as-string": ([2.0, "1"], [[1.0, 2.0], [3.0, "4"]]),
+    "ragged": ([[2.0, 1.0], [1.0]], [[1.0, 2.0], [3.0]]),
+    "complex": ([2 + 1j, 1.0], [[1.0, 2.0], [3.0, 1j]]),
+    "nan": ([2.0, NAN], [[1.0, 2.0], [3.0, NAN]]),
+    "inf": ([INF, 1.0], [[1.0, 2.0], [INF, 4.0]]),
+    "wrong-axes": ([[2.0, 1.0]], [1.0, 2.0]),
+    "empty": ([], np.zeros((0, 2))),
+}
+
 
 class TestValidation:
+    @pytest.mark.parametrize("bad", sorted(BAD_ARRAYS))
+    @pytest.mark.parametrize("name", sorted(ARRAY_TAKERS))
+    def test_bad_array_is_a_documented_input_error(self, name, bad):
+        take, ndim = ARRAY_TAKERS[name]
+        values = BAD_ARRAYS[bad][ndim - 1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputError) as info:
+                take(values)
+        assert not caught
+        too_small = name == "group_advantages" and bad == "empty"
+        assert info.value.code == ("group_too_small" if too_small else "input")
+
     def test_rejects_1d(self):
         with pytest.raises(InputError):
             validate_trajectory(np.ones(4))

@@ -37,6 +37,20 @@ class TestWindowStarts:
         starts = window_starts(20, 8, 1)
         assert starts == list(range(13))
 
+    @pytest.mark.parametrize("args, error, match", [
+        ((10, 3, 0), InputError, "stride must be >= 1"),
+        ((10, 0, 1), InputError, "window width must be >= 2"),
+        ((10, 1, 1), InputError, "window width must be >= 2"),
+        ((10, 3.0, 1), InputError, "window width must be an integer"),
+        ((10, 3, 1.5), InputError, "stride must be an integer"),
+        ((10.0, 3, 1), InputError, "T must be an integer"),
+        ((1, 3, 1), TrajectoryTooShortError, "too short"),
+    ], ids=["stride-0", "width-0", "width-1", "width-float", "stride-float", "T-float", "T-1"])
+    def test_arguments_are_checked(self, args, error, match):
+        with pytest.raises(error, match=match) as info:
+            window_starts(*args)
+        assert info.value.code == error.code
+
 
 # (label, T, d, width, stride): layouts whose windows must each score as
 # erank_or_floor(covariance_spectrum(window)) does.
