@@ -44,7 +44,12 @@ def gated_rewards(correct, norm_rank, alpha: float = DEFAULT_ALPHA) -> np.ndarra
     """Correctness gate times (1 + alpha * norm_rank), elementwise over arrays
     of verdicts and rank scores; incorrect is exactly 0.0."""
     check_alpha(alpha)
-    return np.where(correct, 1.0 + alpha * np.asarray(norm_rank, dtype=np.float64), 0.0)
+    return _gated(correct, np.asarray(norm_rank, dtype=np.float64), alpha)
+
+
+def _gated(correct, norm_rank: np.ndarray, alpha: float) -> np.ndarray:
+    """gated_rewards of a float64 norm_rank array and an alpha already checked."""
+    return np.where(correct, 1.0 + alpha * norm_rank, 0.0)
 
 
 def total_reward(outcome: RolloutOutcome, alpha: float = DEFAULT_ALPHA) -> float:
@@ -60,7 +65,12 @@ def group_advantages(rewards) -> np.ndarray:
     first scaled by 2**-600, so that its squares stay finite; scaling by a
     power of two is exact, so the standardized values do not change.
     """
-    r = _finite_array(rewards, "rewards", 1, least=2, short=GroupSizeError)
+    return _advantages(_finite_array(rewards, "rewards", 1, least=2, short=GroupSizeError))
+
+
+def _advantages(r: np.ndarray) -> np.ndarray:
+    """group_advantages of a float64 vector already known to be finite and at
+    least 2 long, such as sim.train's rewards."""
     floor = STD_FLOOR
     if np.abs(r).max() > 2.0**500:
         r, floor = r * 2.0**-600, floor * 2.0**-600

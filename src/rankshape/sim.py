@@ -23,17 +23,12 @@ import numpy as np
 
 from .errors import GroupSizeError, InputError, RangeError
 from .io import RunConfig, text_lines
-# total_reward and windowed_min_effrank are not called here, but
-# perfbench/spans.py traces them under rankshape.sim, so the names must
-# keep resolving in this module.
-from .rewards import (  # noqa: F401
-    check_alpha,
-    gated_rewards,
-    group_advantages,
-    total_reward,
-)
+# group_advantages, total_reward and windowed_min_effrank are not called
+# here, but perfbench/spans.py traces them under rankshape.sim, so the
+# names must keep resolving in this module.
+from .rewards import _advantages, _gated, check_alpha, group_advantages, total_reward  # noqa: F401
 from .spectral import _check_int, _finite_array, entropy_rows, erank_stack
-from .windows import stacked_min_effrank, window_starts, windowed_min_effrank  # noqa: F401
+from .windows import _min_norm, _window_eranks, _window_plan, windowed_min_effrank  # noqa: F401
 
 # Null tokens put this fraction range of their norm in the complement and
 # scatter around the target with this much unit-sphere spread. Chosen so
@@ -124,10 +119,13 @@ def build_env(seed: int, d: int = RunConfig.dim, vocab: int = RunConfig.vocab,
     The orthogonal frame comes from the QR of a seeded Gaussian matrix;
     its first bias_dim columns span the bias subspace, the rest the
     complement holding the target u_star. The same seed gives a
-    bit-identical environment. A d x d frame the host cannot hold is
-    refused before anything is drawn.
+    bit-identical environment. The sizes must be integers. A d x d frame
+    the host cannot hold is refused before anything is drawn.
     """
     _check_seed(seed)
+    for what, value in (("d", d), ("vocab", vocab), ("bias_dim", bias_dim), ("n_null", n_null),
+                        ("horizon", horizon)):
+        _check_int(value, what)
     if not 1 <= bias_dim < d:
         raise InputError(f"need 1 <= bias_dim < d, got bias_dim={bias_dim}, d={d}")
     if not 1 <= n_null < vocab:
@@ -341,25 +339,28 @@ def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     for n in set(map(len, words)):
         rows = [i for i, w in enumerate(words) if len(w) == n]
         u[rows] = _uniforms(np.array([words[i] for i in rows], dtype=np.uint32), env.horizon)
-    return _sample(policy, env, u)
+    return _sample(policy.probs(), env, u, np.empty((env.horizon, len(words), env.d)))
 
 
-def _sample(policy: PolicyParams, env: EnvSpec, u: np.ndarray):
-    """The rollouts whose uniforms are the rows of the (G, horizon) array u.
+def _sample(p: np.ndarray, env: EnvSpec, u: np.ndarray, steps: np.ndarray):
+    """The rollouts whose uniforms are the rows of the (G, horizon) array u,
+    under the token probabilities p. ``steps`` is a (horizon, G, d) float64
+    buffer that the recurrence runs in.
 
     Tokens come from the policy's inverse CDF: one searchsorted maps the
     block of uniforms to token ids. This is what Generator.choice(vocab,
     p=probs) does inside, so the tokens equal its draws, draw for draw. The
-    leaky recurrence then runs time-major, one (G, d) group state per step.
+    leaky recurrence then runs time-major, one contiguous (G, d) group
+    state per step.
     Correctness: the normalized final state's projection on u_star reaches
     tau.
     """
-    cdf = policy.probs().cumsum()
+    cdf = p.cumsum()
     cdf /= cdf[-1]
     tokens = cdf.searchsorted(u, side="right")
-    steps = env.directions[tokens.T]  # (horizon, G, d): each step one contiguous block
-    for t in range(1, env.horizon):
-        steps[t] += env.decay * steps[t - 1]
+    np.take(env.directions, tokens.T, axis=0, out=steps)
+    for prev, cur in zip(steps, steps[1:]):
+        cur += env.decay * prev
     states = np.ascontiguousarray(steps.swapaxes(0, 1))
     final = states[:, -1]
     norm = np.linalg.norm(final, axis=-1)
@@ -391,9 +392,16 @@ def _group_counts(token_seqs, advantages, vocab: int) -> tuple[np.ndarray, np.nd
                          f"{tokens.dtype} tokens of shape {tokens.shape}, advantages {a.shape}")
     if np.any(tokens < 0) or np.any(tokens >= vocab):
         raise InputError(f"token ids must be in [0, {vocab})")
+    return _token_counts(tokens, vocab), a
+
+
+def _token_counts(tokens: np.ndarray, vocab: int) -> np.ndarray:
+    """Each rollout's token counts, (G, vocab), of a (G, T) integer token
+    array with ids in [0, vocab)."""
+    G = tokens.shape[0]
     # Offsetting row i's ids by i * vocab counts every rollout in one bincount.
-    ids = tokens.astype(np.intp) + vocab * np.arange(a.size)[:, None]
-    return np.bincount(ids.ravel(), minlength=a.size * vocab).reshape(a.size, vocab), a
+    ids = tokens.astype(np.intp, copy=False) + vocab * np.arange(G)[:, None]
+    return np.bincount(ids.ravel(), minlength=G * vocab).reshape(G, vocab)
 
 
 def weighted_log_prob(logits, scale: float, token_seqs, advantages) -> float:
@@ -412,8 +420,13 @@ def policy_gradient(logits, scale: float, token_seqs, advantages) -> np.ndarray:
     """
     logits = np.asarray(logits, dtype=np.float64)
     counts, a = _group_counts(token_seqs, advantages, logits.size)
-    p = _softmax(scale * logits)
-    return scale * (a[:, None] * (counts - counts.sum(axis=1, keepdims=True) * p)).sum(axis=0)
+    return scale * _gradient(counts, a, counts.sum(axis=1, keepdims=True) * _softmax(scale * logits))
+
+
+def _gradient(counts: np.ndarray, a: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """sum_i A_i (counts_i - expected_i): policy_gradient at scale 1, given
+    each rollout's expected counts T * p."""
+    return (a[:, None] * (counts - expected)).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -471,7 +484,10 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     them with the gated rank reward at this alpha, standardizes within the
     group, and ascends the advantage-weighted log-probability. No KL term,
     no clipping, no baseline beyond the group mean. Every argument is
-    checked before the first draw.
+    checked once, before the first draw; the loop then runs the unchecked
+    cores of sample_group, stacked_min_effrank, gated_rewards,
+    group_advantages and policy_gradient on the arrays it builds, and
+    checks only that each update leaves the logits finite.
     """
     _check_seed(seed)
     check_alpha(alpha)
@@ -484,18 +500,20 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
         raise InputError(f"iterations must be >= 1, got {iterations}")
     if not 0.0 <= learning_rate < np.inf:
         raise InputError(f"learning_rate must be finite and >= 0, got {learning_rate}")
-    window_starts(env.horizon, window, stride)  # checks the window arguments
+    starts, w, r_max = _window_plan(env.horizon, env.d, window, stride)
     _check_draws(group_size, env)
     if max(iterations, group_size) > 2**32:  # each index is one uint32 entropy word
         raise InputError(f"iterations and group_size must be at most 2**32, got "
                          f"{iterations} and {group_size}")
 
-    policy = init_policy.copy()
+    logits = init_policy.copy().logits
     its = np.arange(iterations)
     eranks = np.empty(iterations)
     successes = np.empty(iterations)
     rewards_out = np.empty(iterations)
     entropies = np.empty(iterations)
+    steps = np.empty((env.horizon, group_size, env.d))
+    starts = np.asarray(starts)
 
     # Rollout i of iteration it draws as SeedSequence([seed, it, i]) would,
     # a block of iterations at a time.
@@ -507,26 +525,28 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
             words = np.column_stack([np.tile(prefix, (rollouts.size, 1)),
                                      *np.divmod(rollouts, group_size)]).astype(np.uint32)
             u = _uniforms(words, env.horizon).reshape(-1, group_size, env.horizon)
-        tokens, states, correct = _sample(policy, env, u[it % block])
-        min_eranks, norm_ranks = stacked_min_effrank(states, window, stride)
-        rewards = gated_rewards(correct, norm_ranks, alpha)
-        advantages = group_advantages(rewards)
+        p = _softmax(logits)
+        tokens, states, correct = _sample(p, env, u[it % block], steps)
+        min_eranks, norm_ranks = _min_norm(_window_eranks(states, starts, w), r_max)
+        rewards = _gated(correct, norm_ranks, alpha)
 
-        eranks[it] = np.mean(min_eranks)
-        successes[it] = np.mean(correct)
-        rewards_out[it] = rewards.mean()
-        entropies[it] = policy.entropy()
+        # The group means, in the operations of x.mean().
+        eranks[it] = min_eranks.sum() / group_size
+        successes[it] = np.count_nonzero(correct) / group_size
+        rewards_out[it] = rewards.sum() / group_size
+        entropies[it] = entropy_rows(p)
 
-        grad = policy_gradient(policy.logits, 1.0, tokens, advantages)
+        # Each rollout's token counts sum to the horizon.
+        grad = _gradient(_token_counts(tokens, env.vocab), _advantages(rewards), env.horizon * p)
         with np.errstate(over="ignore"):
-            policy.logits += learning_rate * grad
-        if not np.all(np.isfinite(policy.logits)):
+            logits += learning_rate * grad
+        if not np.isfinite(logits).all():
             raise InputError(f"logits must be finite: learning_rate {learning_rate} "
                              "overflowed them")
 
     return SimTrace(iteration=its, mean_windowed_erank=eranks, success_rate=successes,
                     mean_reward=rewards_out, policy_entropy=entropies,
-                    final_policy=policy)
+                    final_policy=PolicyParams(logits))
 
 
 @dataclass(frozen=True)

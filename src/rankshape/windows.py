@@ -32,6 +32,11 @@ DEFAULT_STRIDE = 16
 # trajectory it was 2e-13 at a ratio of 100 and 3e-12 at 3e4.
 BLOCK_SHIFT_RATIO = 16.0
 
+# Windows scored from their own rows are copied out of the stack at most
+# this many floats (512 KiB) at a time, so a long trajectory scores in
+# bounded memory.
+OWN_ROWS_FLOATS = 2**16
+
 
 @dataclass(frozen=True)
 class WindowRankProfile:
@@ -53,16 +58,23 @@ def window_starts(T: int, width: int, stride: int) -> list[int]:
 
     Strided starts, plus a final window flushed to the trajectory end when
     the grid does not land on it. A trajectory no longer than the width is
-    a single window. The arguments are integers under _check_windows' rule.
+    a single window. The arguments are integers under _checked_starts' rule.
     """
-    for what, value in (("T", T), ("window width", width), ("stride", stride)):
+    _check_int(T, "T")
+    return _checked_starts(T, width, stride)
+
+
+def _checked_starts(T: int, width: int, stride: int) -> list[int]:
+    """The window arguments' rule for trajectories of T steps, T an integer,
+    then their starts (window_starts)."""
+    for what, value in (("window width", width), ("stride", stride)):
         _check_int(value, what)
-    _check_windows(T, width, stride)
-    return _starts(T, width, stride)
-
-
-def _starts(T: int, width: int, stride: int) -> list[int]:
-    """window_starts of arguments already checked."""
+    if T < 2:
+        raise TrajectoryTooShortError("trajectory too short: need at least 2 steps")
+    if width < 2:
+        raise InputError(f"window width must be >= 2, got {width}")
+    if stride < 1:
+        raise InputError(f"stride must be >= 1, got {stride}")
     if T <= width:
         return [0]
     starts = list(range(0, T - width + 1, stride))
@@ -77,24 +89,20 @@ def _normalize(min_erank, r_max: int):
     return np.clip((min_erank - 1.0) / (r_max - 1.0), 0.0, 1.0)
 
 
-def _check_windows(T: int, width: int, stride: int) -> None:
-    """The window arguments' rule, for trajectories of T steps."""
-    if T < 2:
-        raise TrajectoryTooShortError("trajectory too short: need at least 2 steps")
-    if width < 2:
-        raise InputError(f"window width must be >= 2, got {width}")
-    if stride < 1:
-        raise InputError(f"stride must be >= 1, got {stride}")
+def _window_plan(T: int, d: int, width: int, stride: int):
+    """Check the window arguments for (T, d) trajectories, T an integer, and
+    plan their windows: returns (starts, w, r_max), the window starts, the
+    rows of each window and the normalization ceiling of the width in d
+    dimensions."""
+    return _checked_starts(T, width, stride), min(width, T), int(min(width, d))
 
 
 def _score_windows(H: np.ndarray, width: int, stride: int):
     """Check the window arguments against a (..., T, d) trajectory stack and
     score its windows: returns (starts, eranks with shape (..., windows),
-    r_max, the normalization ceiling of the width in d dimensions)."""
-    T, d = H.shape[-2:]
-    _check_windows(T, width, stride)
-    starts = _starts(T, width, stride)
-    return starts, _window_eranks(H, np.asarray(starts), min(width, T)), int(min(width, d))
+    r_max)."""
+    starts, w, r_max = _window_plan(*H.shape[-2:], width, stride)
+    return starts, _window_eranks(H, np.asarray(starts), w), r_max
 
 
 def windowed_min_effrank(H, width: int = DEFAULT_WIDTH, stride: int = DEFAULT_STRIDE) -> WindowRankProfile:
@@ -121,18 +129,23 @@ def _profile(H: np.ndarray, width: int, stride: int) -> WindowRankProfile:
 
 def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     """erank_or_floor(covariance_spectrum(H[..., s:s + w, :])) for each start
-    s and each trajectory of the (..., T, d) stack H.
+    s and each trajectory of the (..., T, d) stack H. A trajectory's scores
+    do not depend on the rest of the stack: each is bit for bit its score
+    alone.
 
-    The starts go in blocks that span w offsets, so a block's rows
-    H[..., b0:last + w, :] number fewer than 2w and its windows are scored
-    together. When w < d, one Gram product of the block's rows, shifted by
-    their own mean, holds every window's Gram; each w x w slice is
-    double-centred (J G J / w) and the block's slices share one stacked
-    eigensolve. The product rounds at the scale of the shifted rows, so a
-    block with any window whose shifted energy exceeds its centred energy
-    by more than BLOCK_SHIFT_RATIO (a quiet stretch beside busy rows, or a
-    constant window) is scored from each window's own centred rows instead,
-    through erank_stack, as every block is when w >= d.
+    When w >= d, every window is scored from its own centred rows through
+    erank_stack, the whole stack's windows together: as a view when the one
+    window is the whole trajectory, else copied out as many at a time as
+    fit in OWN_ROWS_FLOATS. When w < d, the starts go in blocks that span w
+    offsets, so a block's rows H[..., b0:last + w, :] number fewer than 2w
+    and its windows are scored together: one Gram product of the block's
+    rows, shifted by their own mean, holds every window's Gram; each
+    w x w slice is double-centred (J G J / w) and the block's slices share
+    one stacked eigensolve. The product rounds at the scale of the shifted
+    rows, so a trajectory with any window of the block whose shifted energy
+    exceeds its centred energy by more than BLOCK_SHIFT_RATIO (a quiet
+    stretch beside busy rows, or a constant window) has that block scored
+    from each window's own centred rows instead.
 
     H may be float32 (a trajectory as stored in HSTB) or float64. Each
     block's rows are widened to float64 before they are centred; the cast
@@ -141,26 +154,37 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     the public entry points take it from validate_trajectory or from the
     reader, and the simulator builds its own states.
     """
+    if w >= H.shape[-1] and len(starts) == 1:  # T <= width: the whole trajectory
+        return erank_stack(H[..., None, :, :])
     eranks = np.empty(H.shape[:-2] + (len(starts),))
     offsets = np.arange(w)
+    if w >= H.shape[-1]:
+        chunk = max(1, OWN_ROWS_FLOATS // max(1, H[..., 0, :].size * w))
+        for k in range(0, len(starts), chunk):
+            eranks[..., k:k + chunk] = erank_stack(H[..., starts[k:k + chunk, None] + offsets, :])
+        return eranks
     i = 0
     while i < len(starts):
         j = int(np.searchsorted(starts, starts[i] + w))
         b0, block = starts[i], starts[i:j] - starts[i]
         rows = block[:, None] + offsets
         B = H[..., b0:b0 + block[-1] + w, :].astype(np.float64, copy=False)
-        own_rows = w >= H.shape[-1]
-        if not own_rows:
-            Y = B - B.mean(axis=-2, keepdims=True)
-            G = (Y @ np.swapaxes(Y, -1, -2))[..., rows[:, :, None], rows[:, None, :]]
-            shifted = np.trace(G, axis1=-2, axis2=-1)
-            G -= G.mean(axis=-1, keepdims=True)
-            G -= G.mean(axis=-2, keepdims=True)
-            own_rows = np.any(shifted > BLOCK_SHIFT_RATIO * np.trace(G, axis1=-2, axis2=-1))
-        if own_rows:
+        Y = B - B.mean(axis=-2, keepdims=True)
+        # C order, so each slice's means sum in the order of a lone trajectory's.
+        G = np.ascontiguousarray((Y @ np.swapaxes(Y, -1, -2))[..., rows[:, :, None],
+                                                                 rows[:, None, :]])
+        shifted = np.trace(G, axis1=-2, axis2=-1)
+        G -= G.mean(axis=-1, keepdims=True)
+        G -= G.mean(axis=-2, keepdims=True)
+        own = np.any(shifted > BLOCK_SHIFT_RATIO * np.trace(G, axis1=-2, axis2=-1), axis=-1)
+        if own.all():
             eranks[..., i:j] = erank_stack(B[..., rows, :])
-        else:
+        elif not own.any():
             eranks[..., i:j] = _erank_rows(_top_eigen(G / w, w)[0])
+        else:  # some trajectories of the stack, not all, fall back
+            scored = eranks[..., i:j]
+            scored[own] = erank_stack(B[own][..., rows, :])
+            scored[~own] = _erank_rows(_top_eigen(G[~own] / w, w)[0])
         i = j
     return eranks
 
@@ -175,6 +199,12 @@ def stacked_min_effrank(states: np.ndarray, width: int = DEFAULT_WIDTH,
     builds them.
     """
     _, eranks, r_max = _score_windows(states, width, stride)
+    return _min_norm(eranks, r_max)
+
+
+def _min_norm(eranks: np.ndarray, r_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each trajectory's min_erank over its (..., windows) eranks, and its
+    norm_rank under the ceiling r_max."""
     min_erank = eranks.min(axis=-1)
     return min_erank, _normalize(min_erank, r_max)
 

@@ -1,8 +1,8 @@
-"""Property tests: the window scorer against its per-window oracle, the
-stride-1 window minimum, the effective rank's invariances and its two eigen
-paths, group advantages, and the HSTB readers (public and as stored)
-against arbitrary bytes, and the CSV reader against the per-cell reader it
-replaced. Also: a failing property is reported as a failure."""
+"""Property tests: the window scorer against its per-window oracle and
+against each trajectory scored alone, the stride-1 window minimum, the
+effective rank's invariances and its two eigen paths, group advantages,
+and the HSTB readers (public and as stored) against arbitrary bytes, and
+the CSV reader against the per-cell reader it replaced. Also: a failing property is reported as a failure."""
 
 import csv
 import math
@@ -66,6 +66,18 @@ def test_stacked_windows_match_each_window_oracle(case):
         for start, erank in zip(profile.starts, profile.per_window_erank):
             expected = erank_or_floor(covariance_spectrum(H[start:start + width]))
             assert abs(erank - expected) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_stacks())
+def test_stacked_scores_equal_each_trajectory_alone(case):
+    # Bit for bit: a trajectory's score does not depend on its neighbours.
+    states, width, stride = case
+    min_erank, ranks = stacked_min_effrank(states, width, stride)
+    for g, H in enumerate(states):
+        alone = stacked_min_effrank(H, width, stride)
+        assert (min_erank[g], ranks[g]) == alone
+        assert windowed_min_effrank(H, width, stride).min_erank == min_erank[g]
 
 
 @settings(max_examples=100, deadline=None)

@@ -83,6 +83,15 @@ class TestBuildEnv:
         with pytest.raises(InputError):
             build_env(0, horizon=0)
 
+    @pytest.mark.parametrize("size", [{"d": 16.0}, {"vocab": 32.5}, {"n_null": 8.0},
+                                      {"bias_dim": 4.0}, {"horizon": 32.5}, {"horizon": True}],
+                             ids=["d", "vocab", "n_null", "bias_dim", "horizon", "horizon-bool"])
+    def test_sizes_must_be_integers(self, size):
+        name = next(iter(size))
+        with pytest.raises(InputError, match=f"^{name} must be an integer") as info:
+            build_env(0, **size)
+        assert info.value.code == "input"
+
 
 class TestPolicyParams:
     def test_probs_normalized(self):
@@ -335,9 +344,9 @@ def test_train_tokens_equal_per_rollout_generators(monkeypatch):
     seen = []
     core = sim._sample
 
-    def spy(policy, env, u):
-        out = core(policy, env, u)
-        seen.append((policy.probs(), out[0]))
+    def spy(p, env, u, steps):
+        out = core(p, env, u, steps)
+        seen.append((p.copy(), out[0]))
         return out
 
     monkeypatch.setattr(sim, "_sample", spy)

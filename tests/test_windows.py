@@ -6,11 +6,14 @@ from rankshape import (
     NormalizationError,
     TrajectoryTooShortError,
     WindowRankProfile,
+    biased_init,
+    build_env,
     covariance_spectrum,
     effective_rank,
     erank_or_floor,
     erank_stack,
     norm_rank,
+    sample_group,
     stacked_min_effrank,
     window_starts,
     windowed_min_effrank,
@@ -256,6 +259,41 @@ class TestStackedMinEffrank:
         min_erank, ranks = stacked_min_effrank(states, 10, 2)
         assert min_erank[1] == 1.0 and ranks[1] == 0.0
         assert min_erank[0] > 1.0
+
+    @pytest.mark.parametrize("env_seed", [0, 1])
+    @pytest.mark.parametrize("width, stride", [(8, 3), (12, 4), (32, 16)])
+    def test_rollout_groups_score_as_each_rollout_alone(self, env_seed, width, stride):
+        # Bit for bit, in the simulator's own groups, on both sides of w = d.
+        env = build_env(env_seed)
+        _, states, _ = sample_group(biased_init(env), env, [[env_seed, i] for i in range(8)])
+        min_erank, ranks = stacked_min_effrank(states, width, stride)
+        for g, H in enumerate(states):
+            profile = windowed_min_effrank(H, width, stride)
+            assert (min_erank[g], ranks[g]) == (profile.min_erank, norm_rank(profile))
+
+    def test_one_trajectory_falling_back_leaves_the_others(self):
+        # Trajectory 1's constant stretch sends its blocks to their own rows;
+        # trajectory 0's stay on the Gram path.
+        states = 100.0 + np.random.default_rng(0).normal(size=(2, 40, 24))
+        states[1, 10:20] = states[1, 10]
+        min_erank, _ = stacked_min_effrank(states, 8, 4)
+        assert min_erank[1] == 1.0
+        for g, H in enumerate(states):
+            assert min_erank[g] == windowed_min_effrank(H, 8, 4).min_erank
+
+    @pytest.mark.parametrize("d", [4, 16])  # w >= d and w < d
+    def test_empty_stack_scores_empty(self, d):
+        min_erank, ranks = stacked_min_effrank(np.empty((0, 20, d)), 8, 4)
+        assert min_erank.shape == ranks.shape == (0,)
+
+    @pytest.mark.parametrize("width, stride", [(8.0, 4), (8, 4.0), (True, 4)])
+    def test_non_integer_width_or_stride_refused(self, width, stride):
+        states = np.random.default_rng(1).normal(size=(2, 20, 4))
+        for call in (lambda: stacked_min_effrank(states, width, stride),
+                     lambda: windowed_min_effrank(states[0], width, stride)):
+            with pytest.raises(InputError, match="must be an integer") as info:
+                call()
+            assert info.value.code == "input"
 
     def test_bad_arguments_rejected(self):
         states = np.random.default_rng(1).normal(size=(2, 20, 4))
