@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, FileFormatError, InputError
 from .rewards import DEFAULT_ALPHA
-from .spectral import validate_trajectory
+from .spectral import _all_finite, validate_trajectory
 from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH
 
 MAGIC = b"HSTB"
@@ -48,7 +48,7 @@ def write_trajectory(path, H, metadata: dict | None = None) -> None:
         return
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(H, dtype="<f4")
-    if not np.all(np.isfinite(payload)):
+    if not _all_finite(payload):
         raise InputError("trajectory values exceed the float32 range")
     blob = _HEADER.pack(MAGIC, VERSION, H.shape[0], H.shape[1]) + payload.tobytes()
     if metadata is not None:
@@ -118,7 +118,7 @@ def _read_hstb(path: Path) -> tuple[np.ndarray, dict | None]:
             metadata = json.loads(rest[4:4 + meta_len].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise FileFormatError("bad_metadata", f"metadata is not valid JSON: {exc}") from None
-    if not np.isfinite(payload).all():
+    if not _all_finite(payload):
         r, c = np.argwhere(~np.isfinite(payload))[0]
         raise FileFormatError("non_finite_value", f"non-finite value at row {r}, column {c}")
     return payload, metadata
@@ -152,7 +152,7 @@ def _read_csv(path: Path) -> np.ndarray:
     except (ValueError, InputError):
         pass
     else:
-        if H.size and np.isfinite(H).all():
+        if H.size and _all_finite(H):
             return H
     return _read_csv_cells(path)
 

@@ -15,6 +15,7 @@ logits, with the correctness-gated rank reward from the rewards module.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -262,6 +263,20 @@ def _mul128(a, b):
     return a_hi * b_lo + a_lo * b_hi + carry, a_lo * b_lo
 
 
+@functools.lru_cache(maxsize=8)
+def _jumps(horizon: int) -> np.ndarray:
+    """The factors of _uniforms' draws 1..horizon, M**(t + 1) and 1 + M + ...
+    + M**(t + 1) mod 2**128 for t < horizon, as a read-only (4, horizon)
+    uint64 array. Cached, since a run draws every block at one horizon."""
+    jumps, power, total = [], _PCG_MUL, 1 + _PCG_MUL
+    for _ in range(horizon):
+        power, total = power * _PCG_MUL % 2**128, (total * _PCG_MUL + 1) % 2**128
+        jumps.append([power >> 64, power & 2**64 - 1, total >> 64, total & 2**64 - 1])
+    jumps = np.array(jumps, dtype=np.uint64).T  # the two factors, as (high, low) rows
+    jumps.flags.writeable = False
+    return jumps
+
+
 def _uniforms(words: np.ndarray, horizon: int) -> np.ndarray:
     """default_rng(SeedSequence(row)).random(horizon) for each row of an (N, n)
     uint32 entropy-word array, bit for bit, all N generators at once.
@@ -289,11 +304,7 @@ def _uniforms(words: np.ndarray, horizon: int) -> np.ndarray:
     s0, s1, s2, s3 = (state[0::2] | state[1::2].astype(np.uint64) << np.uint64(32))[:, :, None]
     one = np.uint64(1)
     inc = (s2 << one | s3 >> np.uint64(63), s3 << one | one)
-    jumps, power, total = [], _PCG_MUL, 1 + _PCG_MUL
-    for _ in range(horizon):
-        power, total = power * _PCG_MUL % 2**128, (total * _PCG_MUL + 1) % 2**128
-        jumps.append([power >> 64, power & 2**64 - 1, total >> 64, total & 2**64 - 1])
-    jumps = np.array(jumps, dtype=np.uint64).T  # the two factors, as (high, low) rows
+    jumps = _jumps(horizon)
     out = np.empty((count, horizon))
     width = max(1, _DRAW_CHUNK // count)
     for t in range(0, horizon, width):

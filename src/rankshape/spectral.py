@@ -25,6 +25,18 @@ EIGENVALUE_FLOOR = 1e-12
 
 DEFAULT_ENERGY_THRESHOLD = 0.9
 
+# _all_finite checks an array this many values (64 KiB of mask) at a time,
+# so checking a payload read from a file does not add a mask of its size.
+FINITE_CHUNK = 2**16
+
+
+def _all_finite(A: np.ndarray) -> bool:
+    """np.isfinite(A).all() for an array of one or more axes, checked in
+    chunks of whole rows of its first axis, at most FINITE_CHUNK values
+    each (one row when a row holds more)."""
+    step = max(1, FINITE_CHUNK // max(1, A[:1].size))
+    return all(np.isfinite(A[i:i + step]).all() for i in range(0, len(A), step))
+
 
 def _finite_array(values, what: str, ndim: int, least: int = 1, short=InputError) -> np.ndarray:
     """The one array check of the library's public entry points: values as
@@ -45,7 +57,7 @@ def _finite_array(values, what: str, ndim: int, least: int = 1, short=InputError
         raise InputError(f"{what} must be {ndim}-D, got shape {A.shape}")
     if min(A.shape) < least:
         raise short(f"{what} must have {least} or more entries on each axis, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    if not _all_finite(A):
         raise InputError(f"{what} must be finite")
     return A
 

@@ -147,10 +147,12 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     stretch beside busy rows, or a constant window) has that block scored
     from each window's own centred rows instead.
 
-    H may be float32 (a trajectory as stored in HSTB) or float64. Each
-    block's rows are widened to float64 before they are centred; the cast
-    is exact, so a float32 trajectory scores as its float64 image does, and
-    a float64 stack is sliced without a copy. H is trusted to be finite:
+    H may be float32 (a trajectory as stored in HSTB) or float64. A
+    block's mean is summed in float64 from its stored rows, and its rows
+    minus that mean are written into one float64 buffer of min(T, 2w) rows
+    that every block reuses; the widening is exact, so a float32 trajectory
+    scores as its float64 image does, and no block is copied before it is
+    shifted. H is trusted to be finite:
     the public entry points take it from validate_trajectory or from the
     reader, and the simulator builds its own states.
     """
@@ -163,13 +165,18 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
         for k in range(0, len(starts), chunk):
             eranks[..., k:k + chunk] = erank_stack(H[..., starts[k:k + chunk, None] + offsets, :])
         return eranks
+    # A block spans fewer than 2w rows; its shifted rows go in this buffer.
+    buf = np.empty(H.shape[:-2] + (min(H.shape[-2], 2 * w), H.shape[-1]))
     i = 0
     while i < len(starts):
         j = int(np.searchsorted(starts, starts[i] + w))
         b0, block = starts[i], starts[i:j] - starts[i]
         rows = block[:, None] + offsets
-        B = H[..., b0:b0 + block[-1] + w, :].astype(np.float64, copy=False)
-        Y = B - B.mean(axis=-2, keepdims=True)
+        n = block[-1] + w
+        Hb = H[..., b0:b0 + n, :]
+        mean = np.add.reduce(Hb, axis=-2, dtype=np.float64, keepdims=True)
+        mean /= n
+        Y = np.subtract(Hb, mean, out=buf[..., :n, :])
         # C order, so each slice's means sum in the order of a lone trajectory's.
         G = np.ascontiguousarray((Y @ np.swapaxes(Y, -1, -2))[..., rows[:, :, None],
                                                                  rows[:, None, :]])
@@ -178,12 +185,12 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
         G -= G.mean(axis=-2, keepdims=True)
         own = np.any(shifted > BLOCK_SHIFT_RATIO * np.trace(G, axis1=-2, axis2=-1), axis=-1)
         if own.all():
-            eranks[..., i:j] = erank_stack(B[..., rows, :])
+            eranks[..., i:j] = erank_stack(Hb[..., rows, :])
         elif not own.any():
             eranks[..., i:j] = _erank_rows(_top_eigen(G / w, w)[0])
         else:  # some trajectories of the stack, not all, fall back
             scored = eranks[..., i:j]
-            scored[own] = erank_stack(B[own][..., rows, :])
+            scored[own] = erank_stack(Hb[own][..., rows, :])
             scored[~own] = _erank_rows(_top_eigen(G[~own] / w, w)[0])
         i = j
     return eranks

@@ -1,3 +1,4 @@
+import io
 import struct
 import sys
 import tracemalloc
@@ -18,7 +19,8 @@ from rankshape import (
     write_trajectory,
 )
 from rankshape.cli import main
-from rankshape.io import MAGIC, VERSION, load_run_config
+from rankshape.io import MAGIC, VERSION, _read_stored, load_run_config
+from rankshape.spectral import FINITE_CHUNK
 
 
 def f32(values):
@@ -160,6 +162,22 @@ def test_hstb_read_allocates_little_beyond_its_result(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * H.nbytes + 2**20
+
+
+def test_hstb_read_adds_at_most_one_check_chunk_over_its_payload(tmp_path):
+    """The finiteness check reads FINITE_CHUNK values at a time, so reading
+    holds the float32 payload, one chunk's bool mask and the file object's
+    read buffer; a whole-payload mask would be a quarter of the payload."""
+    path = tmp_path / "big.hstb"
+    write_trajectory(path, f32(np.random.default_rng(0).normal(size=(1024, 512))))
+    tracemalloc.start()
+    try:
+        H, _ = _read_stored(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert H.dtype == np.float32
+    assert peak <= H.nbytes + FINITE_CHUNK + io.DEFAULT_BUFFER_SIZE
 
 
 @pytest.mark.parametrize("command, bound", [("window-rank", 2.0), ("effrank", 4.5)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from rankshape import (
     window_starts,
     windowed_min_effrank,
 )
+from rankshape.windows import _score_windows
 
 
 def profile_with(min_erank, r_max):
@@ -280,6 +283,25 @@ class TestStackedMinEffrank:
         assert min_erank[1] == 1.0
         for g, H in enumerate(states):
             assert min_erank[g] == windowed_min_effrank(H, 8, 4).min_erank
+
+    def test_block_scorer_holds_one_buffer_and_the_block_grams(self):
+        """At w < d a float32 (T, d) trajectory is scored with one float64
+        buffer of min(T, 2w) x d for the shifted rows of every block, and
+        per block with the Gram of its n rows and at most four arrays of
+        its k window slices: the slices, numpy's index for them, the
+        previous block's slices and G / w. No block is widened or shifted
+        into arrays of its own, which would add 2 x n x d floats."""
+        T, d, w, s = 1024, 512, 64, 16
+        k = w // s
+        n = (k - 1) * s + w
+        H = np.random.default_rng(0).normal(size=(T, d)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _score_windows(H, w, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (min(T, 2 * w) * d + n * n + 4 * k * w * w)
 
     @pytest.mark.parametrize("d", [4, 16])  # w >= d and w < d
     def test_empty_stack_scores_empty(self, d):
