@@ -154,13 +154,13 @@ def cmd_reward(args) -> int:
             raise InputError(f"record line {lineno} is not valid JSON: {exc}") from None
         if not isinstance(record, dict) or "correct" not in record or "norm_rank" not in record:
             raise InputError(f"record line {lineno} needs fields correct and norm_rank")
-        correct, rank = record["correct"], _json_number(record["norm_rank"])
+        correct = record["correct"]
         if correct not in (0, 1):  # JSON true/false or 0/1; "false" != 0
             raise InputError(f"record line {lineno}: correct must be true/false/0/1, got {correct!r}")
-        if rank is None:
-            raise InputError(f"record line {lineno}: norm_rank must be a number, "
-                             f"got {record['norm_rank']!r}")
-        outcome = RolloutOutcome(correct=bool(correct), norm_rank=rank)
+        try:
+            outcome = RolloutOutcome(correct=bool(correct), norm_rank=record["norm_rank"])
+        except InputError as exc:  # keeps the class, and so the error code
+            raise type(exc)(f"record line {lineno}: {exc}") from None
         print(json.dumps({
             "correct": outcome.correct,
             "norm_rank": outcome.norm_rank,
@@ -209,8 +209,6 @@ def cmd_fit_decouple(args) -> int:
 
 
 def cmd_soe_select(args) -> int:
-    if args.prefix < 0:
-        raise InputError(f"--prefix must be >= 0, got {args.prefix}")
     states = read_trajectory(args.basis)
     probe_rows = read_trajectory(args.probes)
     basis = lookahead_manifold(states, args.energy)

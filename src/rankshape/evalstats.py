@@ -21,7 +21,7 @@ from .errors import (
     SeparableDataError,
 )
 from .io import text_lines
-from .spectral import _check_int
+from .spectral import INT64_MAX, _check_int, _check_real
 
 DECOUPLING_CSV_HEADER = ("eff_rank", "entropy", "correct")
 
@@ -63,17 +63,11 @@ class PassCounts:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        _check_int(self.n, "n")
-        if self.n < 1:
-            raise RangeError(f"n must be >= 1, got {self.n}")
-        counts = tuple(self.counts)
+        n = _check_int(self.n, "n", 1, INT64_MAX, error=RangeError)
+        counts = tuple(_check_int(c, "count", 0, n, error=RangeError) for c in self.counts)
         if not counts:
             raise InputError("need at least one problem")
-        for c in counts:
-            _check_int(c, "count")
-            if not 0 <= c <= self.n:
-                raise RangeError(f"count {c} outside [0, {self.n}]")
-        object.__setattr__(self, "counts", tuple(map(int, counts)))
+        object.__setattr__(self, "counts", counts)
 
     @property
     def problems(self) -> int:
@@ -91,13 +85,11 @@ def pass_curve(pc: PassCounts, ks) -> dict[int, float]:
     wrong = pc.n - np.array(pc.counts)
     result: dict[int, float] = {}
     for k in ks:
-        _check_int(k, "k")
-        if not 1 <= k <= pc.n:
-            raise RangeError(f"k must be in [1, {pc.n}], got {k}")
+        k = _check_int(k, "k", 1, pc.n, error=RangeError)
         miss = np.ones(pc.problems)
         for i in range(k):
             miss *= (wrong - i) / (pc.n - i)
-        result[int(k)] = float(np.mean(1.0 - miss))
+        result[k] = float(np.mean(1.0 - miss))
     return result
 
 
@@ -110,10 +102,8 @@ class DecouplingSample:
     correct: bool
 
     def __post_init__(self):
-        if not np.isfinite(self.eff_rank) or self.eff_rank < 1.0:
-            raise InputError(f"eff_rank must be >= 1, got {self.eff_rank}")
-        if not np.isfinite(self.entropy) or self.entropy < 0.0:
-            raise InputError(f"entropy must be >= 0, got {self.entropy}")
+        _check_real(self.eff_rank, "eff_rank", low=1)
+        _check_real(self.entropy, "entropy", low=0)
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,12 @@ def write_trajectory(path, H, metadata: dict | None = None) -> None:
         payload = np.ascontiguousarray(H, dtype="<f4")
     if not _all_finite(payload):
         raise InputError("trajectory values exceed the float32 range")
-    blob = _HEADER.pack(MAGIC, VERSION, H.shape[0], H.shape[1]) + payload.tobytes()
-    if metadata is not None:
-        meta = json.dumps(metadata).encode("utf-8")
-        blob += struct.pack("<I", len(meta)) + meta
-    path.write_bytes(blob)
+    meta = None if metadata is None else json.dumps(metadata).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, H.shape[0], H.shape[1]))
+        fh.write(payload)  # its buffer, so the payload's bytes are not copied
+        if meta is not None:
+            fh.write(struct.pack("<I", len(meta)) + meta)
 
 
 def read_trajectory(path) -> np.ndarray:

@@ -20,6 +20,7 @@ from .errors import InputError, ZeroVarianceError
 from .spectral import (
     DEFAULT_ENERGY_THRESHOLD,
     ManifoldBasis,
+    _check_int,
     _finite_array,
     principal_subspace,
     validate_trajectory,
@@ -75,8 +76,9 @@ class StitchPlan:
                     query_id: str | None = None) -> "StitchPlan":
         """The record of one selection round. It warns when even the winner
         lies nearly inside the manifold (omega below LOW_OMEGA_THRESHOLD),
-        meaning no probe actually escapes."""
-        return cls(query_id=query_id, prefix_length=int(prefix_length),
+        meaning no probe actually escapes. prefix_length is an integer >= 0."""
+        prefix_length = _check_int(prefix_length, "prefix_length", low=0)
+        return cls(query_id=query_id, prefix_length=prefix_length,
                    probe_label=choice.label, omega=choice.omega, basis_k=basis.k,
                    warning=choice.omega < LOW_OMEGA_THRESHOLD)
 
@@ -126,8 +128,7 @@ def plan_stitch(teacher_trace, prefix_length: int, lookahead_states, probes: Pro
     winner (see StitchPlan.from_choice).
     """
     H = validate_trajectory(teacher_trace)
-    if not 1 <= prefix_length <= H.shape[0]:
-        raise InputError(f"prefix_length must be in [1, {H.shape[0]}], got {prefix_length}")
+    _check_int(prefix_length, "prefix_length", 1, H.shape[0])
     basis = lookahead_manifold(lookahead_states, energy_threshold)
     if basis.dim != H.shape[1]:
         raise InputError(

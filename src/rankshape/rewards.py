@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupSizeError, InputError
-from .spectral import _finite_array
+from .errors import GroupSizeError
+from .spectral import _check_real, _finite_array
 
 DEFAULT_ALPHA = 0.5
 # Reward spreads below this carry no ranking signal; advantages are zeroed
@@ -30,20 +30,18 @@ class RolloutOutcome:
     norm_rank: float
 
     def __post_init__(self):
-        if not np.isfinite(self.norm_rank) or not 0.0 <= self.norm_rank <= 1.0:
-            raise InputError(f"norm_rank must be in [0, 1], got {self.norm_rank}")
+        object.__setattr__(self, "norm_rank", _check_real(self.norm_rank, "norm_rank", 0, 1))
 
 
-def check_alpha(alpha: float) -> None:
-    """The rank-bonus weight must be finite and >= 0."""
-    if not (np.isfinite(alpha) and alpha >= 0.0):
-        raise InputError(f"alpha must be finite and >= 0, got {alpha}")
+def check_alpha(alpha: float) -> float:
+    """The rank-bonus weight: a finite number >= 0, returned as a float."""
+    return _check_real(alpha, "alpha", low=0)
 
 
 def gated_rewards(correct, norm_rank, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Correctness gate times (1 + alpha * norm_rank), elementwise over arrays
     of verdicts and rank scores; incorrect is exactly 0.0."""
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     return _gated(correct, np.asarray(norm_rank, dtype=np.float64), alpha)
 
 

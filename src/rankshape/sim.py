@@ -28,7 +28,7 @@ from .io import RunConfig, text_lines
 # here, but perfbench/spans.py traces them under rankshape.sim, so the
 # names must keep resolving in this module.
 from .rewards import _advantages, _gated, check_alpha, group_advantages, total_reward  # noqa: F401
-from .spectral import _check_int, _finite_array, entropy_rows, erank_stack
+from .spectral import _check_int, _check_real, _finite_array, entropy_rows, erank_stack
 from .windows import _min_norm, _window_eranks, _window_plan, windowed_min_effrank  # noqa: F401
 
 # Null tokens put this fraction range of their norm in the complement and
@@ -121,23 +121,19 @@ def build_env(seed: int, d: int = RunConfig.dim, vocab: int = RunConfig.vocab,
     its first bias_dim columns span the bias subspace, the rest the
     complement holding the target u_star. The same seed gives a
     bit-identical environment. The sizes must be integers. A d x d frame
-    the host cannot hold is refused before anything is drawn.
+    and vocab x d direction table the host cannot hold are refused before
+    anything is drawn.
     """
     _check_seed(seed)
-    for what, value in (("d", d), ("vocab", vocab), ("bias_dim", bias_dim), ("n_null", n_null),
-                        ("horizon", horizon)):
-        _check_int(value, what)
-    if not 1 <= bias_dim < d:
-        raise InputError(f"need 1 <= bias_dim < d, got bias_dim={bias_dim}, d={d}")
-    if not 1 <= n_null < vocab:
-        raise InputError(f"need 1 <= n_null < vocab, got n_null={n_null}, vocab={vocab}")
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
-    if not 0.0 <= decay < 1.0:
-        raise InputError(f"decay must be in [0, 1), got {decay}")
-    if not 0.0 < tau <= 1.0:
-        raise InputError(f"tau must be in (0, 1], got {tau}")
-    _check_memory(d * d, f"dimension {d} needs", f"for its {d} x {d} frame")
+    d = _check_int(d, "d", low=2)
+    vocab = _check_int(vocab, "vocab", low=2)
+    bias_dim = _check_int(bias_dim, "bias_dim", 1, d - 1)
+    n_null = _check_int(n_null, "n_null", 1, vocab - 1)
+    horizon = _check_int(horizon, "horizon", low=1)
+    decay = _check_real(decay, "decay", low=0, below=1)
+    tau = _check_real(tau, "tau", above=0, high=1)
+    _check_memory(d * (d + vocab), f"dimension {d} needs",
+                  f"for its {d} x {d} frame and {vocab} x {d} direction table")
 
     rng = np.random.default_rng(seed)
     frame, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -156,8 +152,7 @@ def build_env(seed: int, d: int = RunConfig.dim, vocab: int = RunConfig.vocab,
         mass = rng.uniform(*NULL_MASS_RANGE)
         directions[i] = np.sqrt(1.0 - mass * mass) * in_bias + mass * in_null
     return EnvSpec(d=d, vocab=vocab, n_null=n_null, directions=directions,
-                   bias_basis=bias_basis, u_star=u_star, tau=float(tau),
-                   horizon=int(horizon), decay=float(decay))
+                   bias_basis=bias_basis, u_star=u_star, tau=tau, horizon=horizon, decay=decay)
 
 
 @dataclass
@@ -188,7 +183,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def biased_init(env: EnvSpec, offset: float = RunConfig.bias_logit) -> PolicyParams:
     """Policy concentrated on the bias subspace: bias-token logits get +offset."""
     logits = np.zeros(env.vocab)
-    logits[: env.n_bias] = offset
+    logits[: env.n_bias] = _check_real(offset, "offset")
     return PolicyParams(logits=logits)
 
 
@@ -418,9 +413,10 @@ def _token_counts(tokens: np.ndarray, vocab: int) -> np.ndarray:
 def weighted_log_prob(logits, scale: float, token_seqs, advantages) -> float:
     """sum_i A_i * log pi(tokens_i) with the advantages held fixed, over a
     group given as a (G, T) token array and G advantages."""
-    logits = np.asarray(logits, dtype=np.float64)
-    counts, a = _group_counts(token_seqs, advantages, logits.size)
-    return float(np.sum(a * (counts @ np.log(_softmax(scale * logits)))))
+    z = _check_real(scale, "scale") * np.asarray(logits, dtype=np.float64)
+    counts, a = _group_counts(token_seqs, advantages, z.size)
+    z -= z.max()  # the log-softmax, which stays finite where softmax underflows to 0
+    return float(np.sum(a * (counts @ (z - np.log(np.exp(z).sum())))))
 
 
 def policy_gradient(logits, scale: float, token_seqs, advantages) -> np.ndarray:
@@ -429,6 +425,7 @@ def policy_gradient(logits, scale: float, token_seqs, advantages) -> np.ndarray:
 
     For i.i.d. softmax sampling this is scale * sum_i A_i (counts_i - T * p).
     """
+    scale = _check_real(scale, "scale")
     logits = np.asarray(logits, dtype=np.float64)
     counts, a = _group_counts(token_seqs, advantages, logits.size)
     return scale * _gradient(counts, a, counts.sum(axis=1, keepdims=True) * _softmax(scale * logits))
@@ -501,16 +498,11 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     checks only that each update leaves the logits finite.
     """
     _check_seed(seed)
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     _check_policy(init_policy, env)
-    _check_int(group_size, "group_size")
-    _check_int(iterations, "iterations")
-    if group_size < 2:
-        raise GroupSizeError(f"group too small: need at least 2 rollouts, got {group_size}")
-    if iterations < 1:
-        raise InputError(f"iterations must be >= 1, got {iterations}")
-    if not 0.0 <= learning_rate < np.inf:
-        raise InputError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+    group_size = _check_int(group_size, "group_size", low=2, error=GroupSizeError)
+    iterations = _check_int(iterations, "iterations", low=1)
+    learning_rate = _check_real(learning_rate, "learning_rate", low=0)
     starts, w, r_max = _window_plan(env.horizon, env.d, window, stride)
     _check_draws(group_size, env)
     if max(iterations, group_size) > 2**32:  # each index is one uint32 entropy word
@@ -578,14 +570,10 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
     should fall (within sampling noise) as the scale grows.
     """
     _check_seed(seed)
-    scales = [float(s) for s in scales]
-    if not scales or any(s <= 0.0 for s in scales):
-        raise InputError("scales must be positive")
-    if any(b <= a for a, b in zip(scales, scales[1:])):
-        raise InputError("scales must be strictly ascending")
-    _check_int(samples_per_scale, "samples_per_scale")
-    if samples_per_scale < 1:
-        raise RangeError(f"samples_per_scale must be >= 1, got {samples_per_scale}")
+    scales = [_check_real(s, "scale", above=0) for s in scales]
+    if not scales or any(b <= a for a, b in zip(scales, scales[1:])):
+        raise InputError(f"scales must be one or more, strictly ascending, got {scales}")
+    samples_per_scale = _check_int(samples_per_scale, "samples_per_scale", low=1, error=RangeError)
     _check_draws(samples_per_scale, env)
     means = []
     errors = []
@@ -608,11 +596,8 @@ def geometric_barrier_probe(policy: PolicyParams, env: EnvSpec, delta: float,
     policy routes mass through complement-heavy tokens.
     """
     _check_seed(seed)
-    if delta <= 0.0:
-        raise RangeError(f"delta must be positive, got {delta}")
-    _check_int(samples, "samples")
-    if samples < 1:
-        raise RangeError(f"samples must be >= 1, got {samples}")
+    delta = _check_real(delta, "delta", above=0, error=RangeError)
+    samples = _check_int(samples, "samples", low=1, error=RangeError)
     _check_draws(samples, env)
     _, states, _ = sample_group(policy, env, [[seed, i] for i in range(samples)])
     escaped = np.linalg.norm(env.null_component(states[:, -1].T), axis=0) > delta

@@ -13,6 +13,9 @@ spectrum always has min(T, d) entries regardless of path.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +65,48 @@ def _finite_array(values, what: str, ndim: int, least: int = 1, short=InputError
     return A
 
 
-def _check_int(value, what: str) -> None:
-    """Refuse a count or size that is not an integer; a bool is not one."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+# Integer arguments that reach numpy or range are bounded by this (int64's
+# largest value); seeds are not, since numpy hashes any non-negative integer.
+INT64_MAX = 2**63 - 1
+
+_ORDER = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def _within(number, what: str, error, low=None, above=None, high=None, below=None):
+    """number if low <= number, above < number, number <= high and number <
+    below hold for each bound given; else ``error``, naming the bounds."""
+    bounds = [(op, bound) for op, bound in zip(_ORDER, (low, above, high, below))
+              if bound is not None]
+    if not all(_ORDER[op](number, bound) for op, bound in bounds):
+        rule = " and ".join(f"{op} {bound}" for op, bound in bounds)
+        raise error(f"{what} must be {rule}, got {number}")
+    return number
+
+
+def _check_int(value, what: str, low=None, high=None, error=InputError) -> int:
+    """The one integer rule: value as an int. A count or size must be a Python
+    or numpy integer, not a bool (else InputError), in [low, high] for each
+    bound given (else ``error``)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer, got {value!r}")
+    return _within(int(value), what, error, low=low, high=high)
+
+
+def _check_real(value, what: str, low=None, high=None, above=None, below=None,
+                error=InputError) -> float:
+    """The one real-number rule: value as a float. It must be a real number,
+    ints included but not a bool or a string, and finite (else InputError),
+    and meet each bound given, low <= value <= high and above < value <
+    below (else ``error``)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise InputError(f"{what} must be finite, got a value past the float range") from None
+    if not math.isfinite(number):
+        raise InputError(f"{what} must be finite, got {number}")
+    return _within(number, what, error, low=low, above=above, high=high, below=below)
 
 
 def validate_trajectory(values) -> np.ndarray:
@@ -260,8 +301,7 @@ def principal_subspace(H, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD) ->
     directions are orthonormal columns; on the Gram path (T < d) they are
     recovered as centered^T u / sqrt(T lambda).
     """
-    if not 0.0 < energy_threshold <= 1.0:
-        raise InputError(f"energy_threshold must be in (0, 1], got {energy_threshold}")
+    energy_threshold = _check_real(energy_threshold, "energy_threshold", above=0, high=1)
     centered, mean, vals, vecs = _centered_eigh(validate_trajectory(H), vectors=True)
     T, d = centered.shape
     if T < 2:

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NormalizationError, TrajectoryTooShortError
+from .errors import NormalizationError, TrajectoryTooShortError
 # covariance_spectrum is not called here, but perfbench/spans.py traces it
 # under rankshape.windows, so the name must keep resolving in this module.
 from .spectral import (  # noqa: F401
+    INT64_MAX,
     _check_int,
     _erank_rows,
     _top_eigen,
@@ -60,21 +61,16 @@ def window_starts(T: int, width: int, stride: int) -> list[int]:
     the grid does not land on it. A trajectory no longer than the width is
     a single window. The arguments are integers under _checked_starts' rule.
     """
-    _check_int(T, "T")
-    return _checked_starts(T, width, stride)
+    return _checked_starts(_check_int(T, "T", high=INT64_MAX), width, stride)
 
 
 def _checked_starts(T: int, width: int, stride: int) -> list[int]:
     """The window arguments' rule for trajectories of T steps, T an integer,
     then their starts (window_starts)."""
-    for what, value in (("window width", width), ("stride", stride)):
-        _check_int(value, what)
+    width = _check_int(width, "window width", low=2)
+    stride = _check_int(stride, "stride", low=1)
     if T < 2:
         raise TrajectoryTooShortError("trajectory too short: need at least 2 steps")
-    if width < 2:
-        raise InputError(f"window width must be >= 2, got {width}")
-    if stride < 1:
-        raise InputError(f"stride must be >= 1, got {stride}")
     if T <= width:
         return [0]
     starts = list(range(0, T - width + 1, stride))

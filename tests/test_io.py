@@ -1,4 +1,5 @@
 import io
+import json
 import struct
 import sys
 import tracemalloc
@@ -178,6 +179,27 @@ def test_hstb_read_adds_at_most_one_check_chunk_over_its_payload(tmp_path):
         tracemalloc.stop()
     assert H.dtype == np.float32
     assert peak <= H.nbytes + FINITE_CHUNK + io.DEFAULT_BUFFER_SIZE
+
+
+def test_hstb_write_holds_one_copy_of_its_payload(tmp_path):
+    """The writer converts the trajectory to its float32 payload once, checks
+    it FINITE_CHUNK values at a time, and writes the header, the payload's
+    buffer and the metadata block to the open file through its write buffer;
+    a bytes copy of the payload, or of the whole file, would add its size
+    again."""
+    H = np.random.default_rng(0).normal(size=(1024, 1024))
+    metadata = {"model": "m" * 100, "layer": 7}
+    header = struct.calcsize("<4sIII")
+    meta_block = 4 + len(json.dumps(metadata).encode("utf-8"))
+    tracemalloc.start()
+    try:
+        write_trajectory(tmp_path / "big.hstb", H, metadata)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload = H.size * 4
+    assert (tmp_path / "big.hstb").stat().st_size == header + payload + meta_block
+    assert peak <= payload + FINITE_CHUNK + header + meta_block + io.DEFAULT_BUFFER_SIZE
 
 
 @pytest.mark.parametrize("command, bound", [("window-rank", 2.0), ("effrank", 4.5)])
