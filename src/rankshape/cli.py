@@ -12,18 +12,19 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from .errors import InputError, RankshapeError
 from .evalstats import PassCounts, fit_decoupling_logit, load_decoupling_csv, pass_curve
-from .io import _read_stored, apply_overrides, load_run_config, read_trajectory, text_lines
+from .io import (_file_errors, _read_stored, apply_overrides, load_run_config, read_trajectory,
+                 text_lines)
 from .probes import ProbeSet, StitchPlan, lookahead_manifold, select_probe
 from .rewards import DEFAULT_ALPHA, RolloutOutcome, check_alpha, group_advantages, total_reward
 from .sim import SimTrace, biased_init, build_env, train
-from .spectral import DEFAULT_ENERGY_THRESHOLD, Spectrum, _centered_eigh, effective_rank
+from .spectral import (DEFAULT_ENERGY_THRESHOLD, Spectrum, _centered_eigh, _check_int,
+                       _check_real, effective_rank)
 from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH, _profile, norm_rank
 
 # Not called here since effrank and window-rank score the reader's checked
@@ -128,23 +129,6 @@ def _numbered_lines(path) -> list[tuple[int, str]]:
     return [(n, line.strip()) for n, line in enumerate(text_lines(path), 1) if line.strip()]
 
 
-def _json_number(value, integral: bool = False):
-    """A finite JSON number as a float, or an int when ``integral``; None otherwise.
-
-    Booleans are not numbers here, although Python counts them as ints, and
-    neither are the NaN and Infinity that Python's json module accepts.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    if integral:
-        return int(value) if isinstance(value, int) or value.is_integer() else None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
-
-
 def cmd_reward(args) -> int:
     check_alpha(args.alpha)
     for lineno, line in _numbered_lines(args.records):
@@ -204,7 +188,7 @@ def cmd_passk(args) -> int:
 
 def cmd_fit_decouple(args) -> int:
     fit = fit_decoupling_logit(load_decoupling_csv(args.samples))
-    print(fit.to_json())
+    print(json.dumps(dataclasses.asdict(fit)))
     return 0
 
 
@@ -213,17 +197,9 @@ def cmd_soe_select(args) -> int:
     probe_rows = read_trajectory(args.probes)
     basis = lookahead_manifold(states, args.energy)
     choice = select_probe(ProbeSet(vectors=probe_rows), basis)
-    print(StitchPlan.from_choice(choice, basis, args.prefix, args.query_id).to_json())
+    plan = StitchPlan.from_choice(choice, basis, args.prefix, args.query_id)
+    print(json.dumps(dataclasses.asdict(plan)))
     return 0
-
-
-@contextlib.contextmanager
-def _writing(out: Path):
-    """Report an OSError raised while creating or writing output as InputError."""
-    try:
-        yield
-    except OSError as exc:
-        raise InputError(f"cannot write {exc.filename or out}: {exc.strerror}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -239,7 +215,7 @@ def cmd_simulate(args) -> int:
     # Deepest first. os.path.exists, unlike Path.exists, never raises.
     made = [d for d in (out, *out.parents) if not os.path.exists(d)]
     try:
-        with _writing(out):  # before training, so an unwritable output fails fast
+        with _file_errors("write", out):  # before training, so an unwritable output fails fast
             out.mkdir(parents=True, exist_ok=True)
             if not trace_path.parent.is_dir():  # a label holding "/"
                 raise InputError(f"cannot write {trace_path}: no directory {trace_path.parent}")
@@ -253,7 +229,7 @@ def cmd_simulate(args) -> int:
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
-    with _writing(out):
+    with _file_errors("write", out):
         trace.to_csv(trace_path)
         config_path.write_text(json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2)
                                + "\n", encoding="utf-8")
@@ -273,10 +249,14 @@ def cmd_report(args) -> int:
             raise InputError(f"malformed config JSON {config_path}: {exc}") from None
         if not isinstance(config, dict) or "alpha" not in config or "train_seed" not in config:
             continue
-        alpha = _json_number(config["alpha"])
-        seed = _json_number(config["train_seed"], integral=True)
-        if alpha is None or seed is None:
-            raise InputError(f"alpha must be a number and train_seed an integer in {config_path}")
+        seed = config["train_seed"]
+        if isinstance(seed, float) and seed.is_integer():
+            seed = int(seed)
+        try:
+            alpha = _check_real(config["alpha"], "alpha")
+            seed = _check_int(seed, "train_seed")
+        except InputError as exc:
+            raise InputError(f"{config_path}: {exc}") from None
         trace = SimTrace.from_csv(config_path.with_suffix(".csv"))
         rows.append((alpha, seed, len(trace), float(trace.mean_windowed_erank[-1]),
                      float(trace.success_rate[-1])))

@@ -6,9 +6,8 @@ correctness.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,9 +118,6 @@ class LogitFit:
     p_values: tuple[float, float, float]
     converged: bool
     iterations: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def fit_decoupling_logit(samples) -> LogitFit:

@@ -9,6 +9,7 @@ JSON metadata.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -29,6 +30,16 @@ from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH
 MAGIC = b"HSTB"
 VERSION = 1
 _HEADER = struct.Struct("<4sIII")
+
+
+@contextlib.contextmanager
+def _file_errors(verb: str, path):
+    """The one file-error rule: an OSError raised while reading or writing a
+    file is an InputError, ``cannot <verb> <file>: <reason>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot {verb} {exc.filename or path}: {exc.strerror}") from None
 
 
 def write_trajectory(path, H, metadata: dict | None = None) -> None:
@@ -84,7 +95,7 @@ def _read_hstb(path: Path) -> tuple[np.ndarray, dict | None]:
     """Read an HSTB file in one pass: header, then the float32 payload
     straight into its array (sized against the file length first), then
     the metadata block. Returns the finite-checked float32 payload."""
-    with open(path, "rb") as fh:
+    with _file_errors("read", path), open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < 4 or header[:4] != MAGIC:
             raise FileFormatError("bad_magic", f"bad magic: not an HSTB file: {path}")
@@ -126,11 +137,12 @@ def _read_hstb(path: Path) -> tuple[np.ndarray, dict | None]:
 
 
 def text_lines(path):
-    """Stream a UTF-8 text file's lines; InputError if it is missing or not UTF-8."""
+    """Stream a UTF-8 text file's lines; InputError if it is missing,
+    unreadable or not UTF-8."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"no such file: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
+    with _file_errors("read", path), open(path, encoding="utf-8", newline="") as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:

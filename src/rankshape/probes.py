@@ -11,8 +11,7 @@ stitching lives elsewhere.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +67,6 @@ class StitchPlan:
     basis_k: int
     warning: bool
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
     @classmethod
     def from_choice(cls, choice: ProbeChoice, basis: ManifoldBasis, prefix_length: int,
                     query_id: str | None = None) -> "StitchPlan":
@@ -113,8 +109,8 @@ def select_probe(probes: ProbeSet, basis: ManifoldBasis) -> ProbeChoice:
     """
     if probes.dim != basis.dim:
         raise InputError(f"probes have dimension {probes.dim}, states have {basis.dim}")
-    scores = (np.linalg.norm(basis.project_out(probes.vectors), axis=1)
-              / (np.linalg.norm(probes.vectors - basis.mean, axis=1) + DEFAULT_EPS))
+    v, D = probes.vectors - basis.mean, basis.directions
+    scores = np.linalg.norm(v - (v @ D) @ D.T, axis=1) / (np.linalg.norm(v, axis=1) + DEFAULT_EPS)
     index = int(np.argmax(scores >= scores.max() - TIE_TOLERANCE))
     return ProbeChoice(index=index, label=f"probe{index}", omega=float(scores[index]))
 

@@ -40,9 +40,13 @@ def check_alpha(alpha: float) -> float:
 
 def gated_rewards(correct, norm_rank, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Correctness gate times (1 + alpha * norm_rank), elementwise over arrays
-    of verdicts and rank scores; incorrect is exactly 0.0."""
+    of verdicts and rank scores; incorrect is exactly 0.0. The rank scores
+    are a vector of numbers in [0, 1], as RolloutOutcome's is one."""
     alpha = check_alpha(alpha)
-    return _gated(correct, np.asarray(norm_rank, dtype=np.float64), alpha)
+    norm_rank = _finite_array(norm_rank, "norm_rank", 1)
+    for bound in (norm_rank.min(), norm_rank.max()):
+        _check_real(bound, "norm_rank", 0, 1)
+    return _gated(correct, norm_rank, alpha)
 
 
 def _gated(correct, norm_rank: np.ndarray, alpha: float) -> np.ndarray:
@@ -51,8 +55,8 @@ def _gated(correct, norm_rank: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def total_reward(outcome: RolloutOutcome, alpha: float = DEFAULT_ALPHA) -> float:
-    """The gated reward of one outcome (see gated_rewards)."""
-    return float(gated_rewards(outcome.correct, outcome.norm_rank, alpha))
+    """The gated reward of one outcome: gated_rewards of a group of one."""
+    return float(gated_rewards([outcome.correct], [outcome.norm_rank], alpha)[0])
 
 
 def group_advantages(rewards) -> np.ndarray:

@@ -73,19 +73,6 @@ class EnvSpec:
     def n_bias(self) -> int:
         return self.vocab - self.n_null
 
-    @property
-    def bias_token_ids(self) -> np.ndarray:
-        return np.arange(self.n_bias)
-
-    @property
-    def null_token_ids(self) -> np.ndarray:
-        return np.arange(self.n_bias, self.vocab)
-
-    def null_component(self, vec) -> np.ndarray:
-        """Component of vec orthogonal to the bias subspace."""
-        v = np.asarray(vec, dtype=np.float64)
-        return v - self.bias_basis @ (self.bias_basis.T @ v)
-
 
 def _check_seed(seed) -> None:
     """The simulator's one seed rule: a seed is a non-negative integer, not a bool."""
@@ -194,7 +181,6 @@ class Rollout:
     tokens: np.ndarray
     states: np.ndarray  # (horizon, d)
     correct: bool
-    log_prob: float
 
 
 def _check_draws(draws: int, env: EnvSpec) -> None:
@@ -376,11 +362,9 @@ def _sample(p: np.ndarray, env: EnvSpec, u: np.ndarray, steps: np.ndarray):
 
 
 def rollout(policy: PolicyParams, env: EnvSpec, seed) -> Rollout:
-    """sample_group for the single seed ``seed``, with the log-probability
-    of its tokens under the policy."""
+    """sample_group for the single seed ``seed``."""
     tokens, states, correct = sample_group(policy, env, [seed])
-    return Rollout(tokens=tokens[0], states=states[0], correct=bool(correct[0]),
-                   log_prob=float(np.log(policy.probs()[tokens[0]]).sum()))
+    return Rollout(tokens=tokens[0], states=states[0], correct=bool(correct[0]))
 
 
 def _group_counts(token_seqs, advantages, vocab: int) -> tuple[np.ndarray, np.ndarray]:
@@ -410,10 +394,23 @@ def _token_counts(tokens: np.ndarray, vocab: int) -> np.ndarray:
     return np.bincount(ids.ravel(), minlength=G * vocab).reshape(G, vocab)
 
 
+def _scaled_logits(logits, scale) -> tuple[float, np.ndarray]:
+    """The one check of the group step's policy: the scale as a float and
+    scale * logits, for a finite logit vector and a finite scale whose
+    product is finite too."""
+    logits = _finite_array(logits, "logits", 1)
+    scale = _check_real(scale, "scale")
+    with np.errstate(over="ignore"):
+        z = scale * logits
+    if not np.isfinite(z).all():
+        raise InputError(f"scale {scale} times the logits overflows the float range")
+    return scale, z
+
+
 def weighted_log_prob(logits, scale: float, token_seqs, advantages) -> float:
     """sum_i A_i * log pi(tokens_i) with the advantages held fixed, over a
     group given as a (G, T) token array and G advantages."""
-    z = _check_real(scale, "scale") * np.asarray(logits, dtype=np.float64)
+    _, z = _scaled_logits(logits, scale)
     counts, a = _group_counts(token_seqs, advantages, z.size)
     z -= z.max()  # the log-softmax, which stays finite where softmax underflows to 0
     return float(np.sum(a * (counts @ (z - np.log(np.exp(z).sum())))))
@@ -425,10 +422,9 @@ def policy_gradient(logits, scale: float, token_seqs, advantages) -> np.ndarray:
 
     For i.i.d. softmax sampling this is scale * sum_i A_i (counts_i - T * p).
     """
-    scale = _check_real(scale, "scale")
-    logits = np.asarray(logits, dtype=np.float64)
-    counts, a = _group_counts(token_seqs, advantages, logits.size)
-    return scale * _gradient(counts, a, counts.sum(axis=1, keepdims=True) * _softmax(scale * logits))
+    scale, z = _scaled_logits(logits, scale)
+    counts, a = _group_counts(token_seqs, advantages, z.size)
+    return scale * _gradient(counts, a, counts.sum(axis=1, keepdims=True) * _softmax(z))
 
 
 def _gradient(counts: np.ndarray, a: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -600,5 +596,6 @@ def geometric_barrier_probe(policy: PolicyParams, env: EnvSpec, delta: float,
     samples = _check_int(samples, "samples", low=1, error=RangeError)
     _check_draws(samples, env)
     _, states, _ = sample_group(policy, env, [[seed, i] for i in range(samples)])
-    escaped = np.linalg.norm(env.null_component(states[:, -1].T), axis=0) > delta
+    final, B = states[:, -1].T, env.bias_basis  # one column per sample
+    escaped = np.linalg.norm(final - B @ (B.T @ final), axis=0) > delta  # outside the bias span
     return int(escaped.sum()) / samples

@@ -269,7 +269,6 @@ class ManifoldBasis:
 
     mean: np.ndarray
     directions: np.ndarray  # (d, k), orthonormal columns
-    captured_energy: float
 
     @property
     def k(self) -> int:
@@ -278,12 +277,6 @@ class ManifoldBasis:
     @property
     def dim(self) -> int:
         return int(self.directions.shape[0])
-
-    def project_out(self, vec) -> np.ndarray:
-        """Component of (vec - mean) orthogonal to the spanned subspace, for
-        one d-vector or for each row of a (..., d) array."""
-        v = np.asarray(vec, dtype=np.float64) - self.mean
-        return v - (v @ self.directions) @ self.directions.T
 
 
 def _count_for_energy(vals: np.ndarray, total: float, threshold: float) -> int:
@@ -314,5 +307,4 @@ def principal_subspace(H, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD) ->
         directions = centered.T @ vecs[:, :k] / np.sqrt(T * vals[:k])
     else:
         directions = vecs[:, :k]
-    captured = float(vals[:k].sum() / total)
-    return ManifoldBasis(mean=mean, directions=directions, captured_energy=captured)
+    return ManifoldBasis(mean=mean, directions=directions)

@@ -751,6 +751,36 @@ def test_directory_input_is_input_error(capsys, tmp_path, command):
     assert err.startswith("error [input]: no such file")
 
 
+MEM = Path("/proc/self/mem")
+
+
+@pytest.mark.skipif(not MEM.is_file(), reason="needs /proc/self/mem")
+@pytest.mark.parametrize("command", [
+    "effrank", "window-rank-csv", "fit-decouple", "simulate", "reward", "report",
+])
+def test_unreadable_input_is_input_error(capsys, tmp_path, command):
+    """/proc/self/mem opens but its first read fails (EIO): one error line
+    naming the file, not a traceback. A .csv or .json symlink to it reads as
+    that kind of file."""
+    name = MEM
+    if command in ("window-rank-csv", "report"):
+        name = tmp_path / ("mem.csv" if command == "window-rank-csv" else "mem.json")
+        name.symlink_to(MEM)
+    argv = {
+        "effrank": ["effrank", str(name)],
+        "window-rank-csv": ["window-rank", str(name)],
+        "fit-decouple": ["fit-decouple", str(name)],
+        "simulate": ["simulate", "--config", str(name), "--out", str(tmp_path / "out")],
+        "reward": ["reward", str(name)],
+        "report": ["report", "--runs", str(tmp_path)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error [input]: cannot read {name}: ")
+
+
 SAMPLES_HEADER = "eff_rank,entropy,correct\n"
 
 

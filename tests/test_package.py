@@ -1,6 +1,7 @@
 """The package's star-import surface and its dependencies."""
 
 import ast
+import dataclasses
 import sys
 import types
 from pathlib import Path
@@ -76,3 +77,76 @@ def test_module_uses_every_import(path):
             if name not in used and not (kept and name in traced):
                 unused.append(name)
     assert unused == [], f"{path.name} never uses {unused}"
+
+
+# Records the CLI writes whole: every field reaches a file or stdout, read by
+# attribute or not.
+CLI_RECORDS = {
+    "LogitFit": "fit-decouple prints dataclasses.asdict of the fit",
+    "StitchPlan": "soe-select prints dataclasses.asdict of the plan",
+    "RunConfig": "simulate writes dataclasses.asdict of the resolved config",
+    "SimTrace": "to_csv writes the columns named in SimTrace.COLUMNS",
+}
+
+# Public attributes that no module reads, each kept for a stated reason.
+UNREAD_BUT_KEPT = {
+    "Rollout.tokens": "the one rollout's token ids, what rollout returns to a caller",
+    "Rollout.states": "the one rollout's (horizon, d) states, what rollout returns to a caller",
+    "ProbeChoice.index": "the winner's row in the probe set; the label only names it",
+    "SimTrace.final_policy": "the policy a run ends with; the acceptance checks evaluate it",
+    "Spectrum.nonzero_count": "the spectrum's numerical rank, the bound that erank stays under",
+    "SweepResult.mean_erank": "temperature_sweep's result, which an acceptance check reads",
+    "SweepResult.std_error": "temperature_sweep's sampling error, beside its means",
+    "WindowRankProfile.starts": "the scored windows' first rows; perfbench/spans.py counts them",
+}
+
+
+def record_fields(cls) -> set[str]:
+    if cls is rankshape.SimTrace:
+        return {name for name, _ in cls.COLUMNS}
+    return {field.name for field in dataclasses.fields(cls)}
+
+
+def public_attributes() -> dict[str, type]:
+    """Each public field, property, method and constant that a public class
+    of rankshape.__all__ defines or inherits from rankshape, as "Class.attr",
+    mapped to the class."""
+    found = {}
+    for name in rankshape.__all__:
+        cls = getattr(rankshape, name)
+        if not isinstance(cls, type):
+            continue
+        for klass in cls.__mro__:
+            if not klass.__module__.startswith("rankshape"):
+                continue
+            attrs = set(vars(klass))
+            if dataclasses.is_dataclass(klass):
+                attrs |= {field.name for field in dataclasses.fields(klass)}
+            found.update({f"{name}.{a}": cls for a in attrs if not a.startswith("_")})
+    return found
+
+
+def test_every_public_attribute_has_a_reader():
+    """Each public attribute is read by attribute somewhere in the package
+    (matched by name, on any object), is a field of a record the CLI writes
+    whole, or is kept in UNREAD_BUT_KEPT with its reason."""
+    names_read = {node.attr for path in SOURCES
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read, record, exempt, unread = [], [], [], []
+    for qualified, cls in sorted(public_attributes().items()):
+        attr = qualified.split(".")[1]
+        if attr in names_read:
+            read.append(qualified)
+        elif cls.__name__ in CLI_RECORDS and attr in record_fields(cls):
+            record.append(qualified)
+        elif qualified in UNREAD_BUT_KEPT:
+            exempt.append(qualified)
+        else:
+            unread.append(qualified)
+    assert unread == [], f"public attributes that nothing reads: {unread}"
+    # Each exemption is still needed: it names an attribute that exists and
+    # that neither a read nor a record covers.
+    assert sorted(UNREAD_BUT_KEPT) == exempt, sorted(set(UNREAD_BUT_KEPT) - set(exempt))
+    print(f"\nCENSUS {len(read) + len(record) + len(exempt)} attributes: {len(read)} read, "
+          f"{len(record)} record fields, {len(exempt)} exempt")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -230,7 +231,7 @@ class TestPlanStitch:
     def test_json_record_fields(self):
         probes = ProbeSet(np.eye(4))
         plan = plan_stitch(self.trace, 5, self.lookahead, probes, query_id="qx")
-        record = json.loads(plan.to_json())
+        record = json.loads(json.dumps(asdict(plan)))
         assert set(record) == {"query_id", "prefix_length", "probe_label",
                                "omega", "basis_k", "warning"}
         assert record["query_id"] == "qx"

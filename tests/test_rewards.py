@@ -66,6 +66,23 @@ class TestGatedRewards:
         with pytest.raises(InputError, match="alpha"):
             gated_rewards([True, False], [0.5, 0.5], -0.1)
 
+    @pytest.mark.parametrize("norm_rank, match", [
+        (["abc"], "norm_rank must be a numeric vector"),
+        (["0.5"], "norm_rank must be a numeric vector"),
+        ([7.0], "norm_rank must be >= 0 and <= 1, got 7.0"),
+        ([-0.5], "norm_rank must be >= 0 and <= 1, got -0.5"),
+        ([float("nan")], "norm_rank must be finite"),
+        (0.5, "norm_rank must be 1-D"),
+    ], ids=["text", "numeric-text", "above-one", "negative", "nan", "scalar"])
+    def test_rank_scores_are_checked(self, norm_rank, match):
+        with pytest.raises(InputError, match=match):
+            gated_rewards([True], norm_rank)
+
+    def test_total_reward_is_a_group_of_one(self):
+        for correct, nr in ((True, 0.3), (False, 0.7), (True, 1.0)):
+            assert (total_reward(RolloutOutcome(correct, nr), 0.5)
+                    == gated_rewards([correct], [nr], 0.5)[0])
+
 
 class TestGroupAdvantages:
     def test_two_point_group(self):

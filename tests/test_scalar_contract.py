@@ -104,9 +104,7 @@ LISTED = {"scales", "counts", "ks"}
 EXEMPT = {
     "EnvSpec": "a record that build_env fills from its checked arguments",
     "LogitFit": "a record of fit_decoupling_logit's result",
-    "ManifoldBasis": "a record of principal_subspace's result",
     "ProbeChoice": "a record of select_probe's result",
-    "Rollout": "a record of rollout's result",
     "RunConfig": "a config record; build_env and train check the values it holds",
     "StitchPlan": "a record that StitchPlan.from_choice fills from its checked arguments",
     "WindowRankProfile": "a record of windowed_min_effrank's result",
