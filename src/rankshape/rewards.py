@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupSizeError
-from .spectral import _check_real, _finite_array
+from .spectral import _check_real, _finite_array, _verdicts
 
 DEFAULT_ALPHA = 0.5
 # Reward spreads below this carry no ranking signal; advantages are zeroed
@@ -41,12 +41,13 @@ def check_alpha(alpha: float) -> float:
 def gated_rewards(correct, norm_rank, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Correctness gate times (1 + alpha * norm_rank), elementwise over arrays
     of verdicts and rank scores; incorrect is exactly 0.0. The rank scores
-    are a vector of numbers in [0, 1], as RolloutOutcome's is one."""
+    are a vector of numbers in [0, 1], as RolloutOutcome's is one, and the
+    verdicts a vector as long of bools or integers 0 and 1."""
     alpha = check_alpha(alpha)
     norm_rank = _finite_array(norm_rank, "norm_rank", 1)
     for bound in (norm_rank.min(), norm_rank.max()):
         _check_real(bound, "norm_rank", 0, 1)
-    return _gated(correct, norm_rank, alpha)
+    return _gated(_verdicts(correct, norm_rank.size), norm_rank, alpha)
 
 
 def _gated(correct, norm_rank: np.ndarray, alpha: float) -> np.ndarray:

@@ -369,13 +369,13 @@ def rollout(policy: PolicyParams, env: EnvSpec, seed) -> Rollout:
 
 def _group_counts(token_seqs, advantages, vocab: int) -> tuple[np.ndarray, np.ndarray]:
     """The one check of a group: a (G, T) integer token array with ids in
-    [0, vocab), and exactly G advantages. Returns each rollout's token
-    counts, (G, vocab), and the advantages as an array."""
+    [0, vocab), and exactly G finite advantages. Returns each rollout's
+    token counts, (G, vocab), and the advantages as a float64 array."""
     try:
         tokens = np.asarray(token_seqs)
     except ValueError:  # numpy refuses ragged sequences
         raise InputError("a group's token sequences must all have the same length") from None
-    a = np.asarray(advantages, dtype=np.float64)
+    a = _finite_array(advantages, "advantages", 1)
     if (tokens.ndim != 2 or not np.issubdtype(tokens.dtype, np.integer)
             or a.shape != tokens.shape[:1]):
         raise InputError(f"need a (G, T) integer token array and G advantages, got "
@@ -409,11 +409,16 @@ def _scaled_logits(logits, scale) -> tuple[float, np.ndarray]:
 
 def weighted_log_prob(logits, scale: float, token_seqs, advantages) -> float:
     """sum_i A_i * log pi(tokens_i) with the advantages held fixed, over a
-    group given as a (G, T) token array and G advantages."""
+    group given as a (G, T) token array and G advantages. A sum past the
+    float range is an InputError."""
     _, z = _scaled_logits(logits, scale)
     counts, a = _group_counts(token_seqs, advantages, z.size)
-    z -= z.max()  # the log-softmax, which stays finite where softmax underflows to 0
-    return float(np.sum(a * (counts @ (z - np.log(np.exp(z).sum())))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z -= z.max()  # the log-softmax, which stays finite where softmax underflows to 0
+        weighted = float(np.sum(a * (counts @ (z - np.log(np.exp(z).sum())))))
+    if not np.isfinite(weighted):
+        raise InputError("the weighted log-probability overflows the float range")
+    return weighted
 
 
 def policy_gradient(logits, scale: float, token_seqs, advantages) -> np.ndarray:
@@ -421,10 +426,15 @@ def policy_gradient(logits, scale: float, token_seqs, advantages) -> np.ndarray:
     group given as a (G, T) token array and G advantages.
 
     For i.i.d. softmax sampling this is scale * sum_i A_i (counts_i - T * p).
+    A gradient past the float range is an InputError.
     """
     scale, z = _scaled_logits(logits, scale)
     counts, a = _group_counts(token_seqs, advantages, z.size)
-    return scale * _gradient(counts, a, counts.sum(axis=1, keepdims=True) * _softmax(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = scale * _gradient(counts, a, counts.sum(axis=1, keepdims=True) * _softmax(z))
+    if not np.isfinite(grad).all():
+        raise InputError("the policy gradient overflows the float range")
+    return grad
 
 
 def _gradient(counts: np.ndarray, a: np.ndarray, expected: np.ndarray) -> np.ndarray:

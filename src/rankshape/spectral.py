@@ -65,6 +65,23 @@ def _finite_array(values, what: str, ndim: int, least: int = 1, short=InputError
     return A
 
 
+def _verdicts(values, n: int) -> np.ndarray:
+    """The one check of a verdict array: values as a bool vector of n
+    verdicts, each a bool or an integer 0 or 1. Anything else, such as
+    strings, floats, NaN, a bare value or a vector of another length, is an
+    InputError."""
+    try:
+        V = np.asarray(values)
+    except ValueError as exc:  # numpy refuses ragged rows
+        raise InputError(f"verdicts must be a vector of {n} bools or 0/1: {exc}") from None
+    if V.shape != (n,) or V.dtype.kind not in "biu":
+        raise InputError(f"verdicts must be a vector of {n} bools or 0/1, "
+                         f"got {V.dtype} entries of shape {V.shape}")
+    if V.dtype.kind != "b" and not ((V == 0) | (V == 1)).all():
+        raise InputError("verdicts must be bools or the integers 0 and 1")
+    return V.astype(bool)
+
+
 # Integer arguments that reach numpy or range are bounded by this (int64's
 # largest value); seeds are not, since numpy hashes any non-negative integer.
 INT64_MAX = 2**63 - 1

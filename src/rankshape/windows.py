@@ -129,10 +129,8 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     do not depend on the rest of the stack: each is bit for bit its score
     alone.
 
-    When w >= d, every window is scored from its own centred rows through
-    erank_stack, the whole stack's windows together: as a view when the one
-    window is the whole trajectory, else copied out as many at a time as
-    fit in OWN_ROWS_FLOATS. When w < d, the starts go in blocks that span w
+    When w >= d, every window is scored from its own centred rows
+    (_own_eranks). When w < d, the starts go in blocks that span w
     offsets, so a block's rows H[..., b0:last + w, :] number fewer than 2w
     and its windows are scored together: one Gram product of the block's
     rows, shifted by their own mean, holds every window's Gram; each
@@ -141,7 +139,8 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     rows, so a trajectory with any window of the block whose shifted energy
     exceeds its centred energy by more than BLOCK_SHIFT_RATIO (a quiet
     stretch beside busy rows, or a constant window) has that block scored
-    from each window's own centred rows instead.
+    from its windows' own rows instead, by _own_eranks on a copy of the
+    block's rows of those trajectories.
 
     H may be float32 (a trajectory as stored in HSTB) or float64. A
     block's mean is summed in float64 from its stored rows, and its rows
@@ -152,22 +151,16 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     the public entry points take it from validate_trajectory or from the
     reader, and the simulator builds its own states.
     """
-    if w >= H.shape[-1] and len(starts) == 1:  # T <= width: the whole trajectory
-        return erank_stack(H[..., None, :, :])
-    eranks = np.empty(H.shape[:-2] + (len(starts),))
-    offsets = np.arange(w)
     if w >= H.shape[-1]:
-        chunk = max(1, OWN_ROWS_FLOATS // max(1, H[..., 0, :].size * w))
-        for k in range(0, len(starts), chunk):
-            eranks[..., k:k + chunk] = erank_stack(H[..., starts[k:k + chunk, None] + offsets, :])
-        return eranks
+        return _own_eranks(H, starts, w)
+    eranks = np.empty(H.shape[:-2] + (len(starts),))
     # A block spans fewer than 2w rows; its shifted rows go in this buffer.
     buf = np.empty(H.shape[:-2] + (min(H.shape[-2], 2 * w), H.shape[-1]))
     i = 0
     while i < len(starts):
         j = int(np.searchsorted(starts, starts[i] + w))
         b0, block = starts[i], starts[i:j] - starts[i]
-        rows = block[:, None] + offsets
+        rows = block[:, None] + np.arange(w)
         n = block[-1] + w
         Hb = H[..., b0:b0 + n, :]
         mean = np.add.reduce(Hb, axis=-2, dtype=np.float64, keepdims=True)
@@ -180,15 +173,27 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
         G -= G.mean(axis=-1, keepdims=True)
         G -= G.mean(axis=-2, keepdims=True)
         own = np.any(shifted > BLOCK_SHIFT_RATIO * np.trace(G, axis1=-2, axis2=-1), axis=-1)
-        if own.all():
-            eranks[..., i:j] = erank_stack(Hb[..., rows, :])
-        elif not own.any():
-            eranks[..., i:j] = _erank_rows(_top_eigen(G / w, w)[0])
-        else:  # some trajectories of the stack, not all, fall back
-            scored = eranks[..., i:j]
-            scored[own] = erank_stack(Hb[own][..., rows, :])
+        scored = eranks[..., i:j]
+        if not own.all():
             scored[~own] = _erank_rows(_top_eigen(G[~own] / w, w)[0])
+        if own.any():
+            scored[own] = _own_eranks(Hb[own], block, w)
         i = j
+    return eranks
+
+
+def _own_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
+    """_window_eranks of the (..., T, d) stack H with each window scored from
+    its own centred rows through erank_stack. The windows are copied out of
+    the stack as many at a time as fit in OWN_ROWS_FLOATS (at least one);
+    a lone window, such as a whole trajectory, is scored as a view."""
+    if len(starts) == 1:
+        return erank_stack(H[..., None, starts[0]:starts[0] + w, :])
+    eranks = np.empty(H.shape[:-2] + (len(starts),))
+    rows = starts[:, None] + np.arange(w)
+    chunk = max(1, OWN_ROWS_FLOATS // max(1, H[..., 0, :].size * w))
+    for k in range(0, len(starts), chunk):
+        eranks[..., k:k + chunk] = erank_stack(H[..., rows[k:k + chunk], :])
     return eranks
 
 

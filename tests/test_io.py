@@ -178,7 +178,9 @@ def test_hstb_read_adds_at_most_one_check_chunk_over_its_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert H.dtype == np.float32
-    assert peak <= H.nbytes + FINITE_CHUNK + io.DEFAULT_BUFFER_SIZE
+    bound = H.nbytes + FINITE_CHUNK + io.DEFAULT_BUFFER_SIZE
+    print(f"BUDGET test_hstb_read_adds_at_most_one_check_chunk_over_its_payload {peak} {bound}")
+    assert peak <= bound
 
 
 def test_hstb_write_holds_one_copy_of_its_payload(tmp_path):
@@ -199,7 +201,9 @@ def test_hstb_write_holds_one_copy_of_its_payload(tmp_path):
         tracemalloc.stop()
     payload = H.size * 4
     assert (tmp_path / "big.hstb").stat().st_size == header + payload + meta_block
-    assert peak <= payload + FINITE_CHUNK + header + meta_block + io.DEFAULT_BUFFER_SIZE
+    bound = payload + FINITE_CHUNK + header + meta_block + io.DEFAULT_BUFFER_SIZE
+    print(f"BUDGET test_hstb_write_holds_one_copy_of_its_payload {peak} {bound}")
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("command, bound", [("window-rank", 2.0), ("effrank", 4.5)])

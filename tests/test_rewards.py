@@ -78,6 +78,20 @@ class TestGatedRewards:
         with pytest.raises(InputError, match=match):
             gated_rewards([True], norm_rank)
 
+    @pytest.mark.parametrize("correct", [
+        ["abc"], [float("nan")], [1.0], [2], [None], 3.0, True, [True, False, True],
+        np.ones((1, 1, 1), dtype=bool), [[1], [1, 0]],
+    ], ids=["text", "nan", "float", "two", "none", "bare-float", "bare-bool", "longer",
+            "three-d", "ragged"])
+    def test_verdicts_are_checked(self, correct):
+        with pytest.raises(InputError, match="verdicts must be"):
+            gated_rewards(correct, [0.5])
+
+    def test_verdicts_may_be_bools_or_zero_one_integers(self):
+        expected = [1.25, 0.0, 1.25]
+        for correct in ([True, False, True], [1, 0, 1], np.array([1, 0, 1], dtype=np.uint8)):
+            npt.assert_array_equal(gated_rewards(correct, [0.5] * 3), expected)
+
     def test_total_reward_is_a_group_of_one(self):
         for correct, nr in ((True, 0.3), (False, 0.7), (True, 1.0)):
             assert (total_reward(RolloutOutcome(correct, nr), 0.5)

@@ -428,6 +428,37 @@ class TestPolicyGradient:
             fn(logits, scale, [[0, 1], [1, 2]], [1.0, -1.0])
 
 
+    @pytest.mark.parametrize("adv, match", [
+        ([np.nan, 1.0], "advantages must be finite"),
+        ([np.inf, 1.0], "advantages must be finite"),
+        ([None, 1.0], "advantages must be finite"),
+        (["1", "2"], "advantages must be a numeric vector"),
+    ], ids=["nan", "inf", "none", "text"])
+    @pytest.mark.parametrize("fn", [policy_gradient, weighted_log_prob])
+    def test_advantages_are_checked(self, fn, adv, match):
+        with pytest.raises(InputError, match=match):
+            fn([0.0, 5.0], 1.0, [[0, 0], [1, 1]], adv)
+
+    @pytest.mark.parametrize("fn, logits, scale, tokens, adv", [
+        (policy_gradient, [1e-300, 0.0], 1e308, [[0, 1]], [2.0]),
+        (policy_gradient, [0.0, 5.0], 1.0, [[0, 0], [0, 0]], [1e308, 1e308]),
+        (policy_gradient, [0.0, 5.0], 1.0, [[0, 0], [0, 0]], [1e308, -1e308]),
+        (weighted_log_prob, [0.0, 5.0], 1.0, [[0, 0], [1, 1]], [1e308, 1e308]),
+        (weighted_log_prob, [0.0, 5.0], 1.0, [[0, 0], [1, 1]], [1e308, -1e308]),
+        (weighted_log_prob, [1e308, -1e308], 1.0, [[0, 1]], [1.0]),
+    ], ids=["gradient-scale", "gradient-advantages", "gradient-mixed-signs",
+            "weighted-advantages", "weighted-mixed-signs", "weighted-logit-spread"])
+    def test_result_past_the_float_range_refused(self, fn, logits, scale, tokens, adv):
+        with pytest.raises(InputError, match="overflows the float range") as info:
+            fn(logits, scale, tokens, adv)
+        assert info.value.code == "input"
+
+    def test_finite_result_of_extreme_advantages_returned(self):
+        assert weighted_log_prob([0.0, 5.0], 1.0, [[1, 1], [1, 1]], [1e308, -1e308]) == 0.0
+        npt.assert_array_equal(policy_gradient([1e308, -1e308], 1.0, [[0, 1]], [1.0]),
+                               [-1.0, 1.0])
+
+
 class TestTrain:
     def test_zero_learning_rate_keeps_policy(self):
         env = build_env(0)

@@ -4,7 +4,9 @@ plain way: the block's rows copied to float64, their mean taken by
 block. _window_eranks instead sums the mean from the stored rows and writes
 the shifted rows into one reused buffer; its scores must be equal bit for
 bit, for float32 and float64 input, one trajectory or a stack, and blocks
-where every, no or some trajectory falls back to its own rows."""
+where every, no or some trajectory falls back to its own rows. With
+OWN_ROWS_FLOATS made small, windows scored from their own rows are copied
+out a few at a time, and the scores must not change."""
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rankshape.spectral import _erank_rows, _top_eigen, erank_stack  # noqa: E402
+from rankshape import windows  # noqa: E402
 from rankshape.windows import BLOCK_SHIFT_RATIO, _window_eranks, _window_plan  # noqa: E402
 
 
@@ -52,16 +55,25 @@ def oracle_window_eranks(H, starts, w):
     return eranks, cases
 
 
+def oracle_own_eranks(H, starts, w):
+    """_window_eranks' w >= d path one window at a time, each its own stack."""
+    eranks = np.empty(H.shape[:-2] + (len(starts),))
+    for i, s in enumerate(starts):
+        eranks[..., i] = erank_stack(H[..., None, s:s + w, :])[..., 0]
+    return eranks
+
+
 @st.composite
-def scorer_inputs(draw):
-    """A (T, d) trajectory or a (G, T, d) stack with w < d. With stride <
-    width, a constant window at a start that has another start after it
-    shares its block with other rows, so its shifted energy is positive
-    and its centred energy zero: that block falls back in each trajectory
-    that has it, every one ("every"), the first only ("first") or none."""
+def scorer_inputs(draw, wide=False):
+    """A (T, d) trajectory or a (G, T, d) stack with w < d, or w >= d when
+    ``wide``. With stride < width, a constant window at a start that has
+    another start after it shares its block with other rows, so its shifted
+    energy is positive and its centred energy zero: that block falls back
+    in each trajectory that has it, every one ("every"), the first only
+    ("first") or none."""
     width = draw(st.integers(2, 12))
     stride = draw(st.integers(1, width))
-    d = draw(st.integers(width + 1, width + 12))
+    d = draw(st.integers(1, width) if wide else st.integers(width + 1, width + 12))
     T = draw(st.integers(width + stride, 5 * width))
     stack = draw(st.sampled_from([(), (2,), (3,), (2, 2)]))
     stretch = draw(st.sampled_from(["none", "every", "first"])) if stride < width else "none"
@@ -91,3 +103,26 @@ def test_block_scorer_equals_the_widen_and_shift_oracle_bit_for_bit(case):
         assert "all" in cases
     elif w >= 4:
         assert ("some" if stretch == "first" else "none") in cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(scorer_inputs(), scorer_inputs(wide=True)), st.integers(1, 3000))
+def test_own_rows_scored_in_small_chunks_equal_the_oracles_bit_for_bit(case, floats):
+    """OWN_ROWS_FLOATS is cut to ``floats``, so a chunk holds one or a few
+    windows and its edges fall inside the blocks that fall back and inside
+    the w >= d runs. The module constant is patched here, in the test body:
+    hypothesis refuses the function-scoped monkeypatch fixture."""
+    H, width, stride, _ = case
+    starts, w, _ = _window_plan(*H.shape[-2:], width, stride)
+    starts = np.asarray(starts)
+    if w >= H.shape[-1]:
+        expected = oracle_own_eranks(H, starts, w)
+    else:
+        expected, _ = oracle_window_eranks(H, starts, w)
+    saved = windows.OWN_ROWS_FLOATS
+    windows.OWN_ROWS_FLOATS = floats
+    try:
+        got = _window_eranks(H, starts, w)
+    finally:
+        windows.OWN_ROWS_FLOATS = saved
+    assert got.tobytes() == expected.tobytes()

@@ -20,7 +20,7 @@ from rankshape import (
     window_starts,
     windowed_min_effrank,
 )
-from rankshape.windows import _score_windows
+from rankshape.windows import OWN_ROWS_FLOATS, _score_windows
 
 
 def profile_with(min_erank, r_max):
@@ -301,7 +301,36 @@ class TestStackedMinEffrank:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (min(T, 2 * w) * d + n * n + 4 * k * w * w)
+        bound = 8 * (min(T, 2 * w) * d + n * n + 4 * k * w * w)
+        print(f"BUDGET test_block_scorer_holds_one_buffer_and_the_block_grams {peak} {bound}")
+        assert peak <= bound
+
+    def test_falling_back_block_copies_one_chunk_of_windows_at_a_time(self):
+        """At stride 1 a constant stretch sends whole blocks of k = w windows
+        to their own rows. Beyond the block scorer's buffer and Grams, such a
+        block holds its rows of the trajectory, copied once (4 n d bytes of
+        float32), and one chunk of its windows: OWN_ROWS_FLOATS values, or
+        one window when a window holds more, copied out and widened (4 + 8
+        bytes a value), with a w x w Gram per window. None of that grows
+        with k; copying the block's windows all at once would add 12 k w d
+        bytes."""
+        T, d, w, s = 1024, 512, 64, 1
+        k = w // s
+        n = (k - 1) * s + w
+        H = np.random.default_rng(0).normal(size=(T, d)).astype(np.float32)
+        H[300:420] = H[300]
+        chunk = max(1, OWN_ROWS_FLOATS // (w * d))
+        tracemalloc.start()
+        try:
+            _, eranks, _ = _score_windows(H, w, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert eranks[300:357].tolist() == [1.0] * 57  # the windows inside the stretch
+        blocks = 8 * (min(T, 2 * w) * d + n * n + 4 * k * w * w)
+        bound = blocks + 4 * n * d + chunk * (12 * w * d + 8 * w * w)
+        print(f"BUDGET test_falling_back_block_copies_one_chunk_of_windows_at_a_time {peak} {bound}")
+        assert peak <= bound
 
     @pytest.mark.parametrize("d", [4, 16])  # w >= d and w < d
     def test_empty_stack_scores_empty(self, d):
