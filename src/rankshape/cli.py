@@ -138,11 +138,8 @@ def cmd_reward(args) -> int:
             raise InputError(f"record line {lineno} is not valid JSON: {exc}") from None
         if not isinstance(record, dict) or "correct" not in record or "norm_rank" not in record:
             raise InputError(f"record line {lineno} needs fields correct and norm_rank")
-        correct = record["correct"]
-        if correct not in (0, 1):  # JSON true/false or 0/1; "false" != 0
-            raise InputError(f"record line {lineno}: correct must be true/false/0/1, got {correct!r}")
         try:
-            outcome = RolloutOutcome(correct=bool(correct), norm_rank=record["norm_rank"])
+            outcome = RolloutOutcome(correct=record["correct"], norm_rank=record["norm_rank"])
         except InputError as exc:  # keeps the class, and so the error code
             raise type(exc)(f"record line {lineno}: {exc}") from None
         print(json.dumps({

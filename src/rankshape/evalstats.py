@@ -20,7 +20,7 @@ from .errors import (
     SeparableDataError,
 )
 from .io import text_lines
-from .spectral import INT64_MAX, _check_int, _check_real
+from .spectral import INT64_MAX, _check_int, _check_real, _check_verdict
 
 DECOUPLING_CSV_HEADER = ("eff_rank", "entropy", "correct")
 
@@ -103,6 +103,7 @@ class DecouplingSample:
     def __post_init__(self):
         _check_real(self.eff_rank, "eff_rank", low=1)
         _check_real(self.entropy, "entropy", low=0)
+        object.__setattr__(self, "correct", _check_verdict(self.correct, "correct"))
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,8 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 
 
 def load_decoupling_csv(path) -> list[DecouplingSample]:
-    """Read ``eff_rank,entropy,correct`` rows; correct must be 0 or 1."""
+    """Read ``eff_rank,entropy,correct`` rows; correct must be 0 or 1, as
+    DecouplingSample checks."""
     reader = csv.reader(text_lines(path))
     try:
         header = next(reader)
@@ -224,11 +226,8 @@ def load_decoupling_csv(path) -> list[DecouplingSample]:
         except ValueError:
             raise FileFormatError(
                 "bad_value", f"unparseable value at row {row_number}") from None
-        if flag not in (0, 1):
-            raise FileFormatError(
-                "bad_value", f"correct must be 0 or 1 at row {row_number}, got {row[2]}")
         try:
-            samples.append(DecouplingSample(eff_rank, entropy, bool(flag)))
+            samples.append(DecouplingSample(eff_rank, entropy, flag))
         except InputError as exc:
             raise FileFormatError("bad_value", f"row {row_number}: {exc}") from None
     return samples

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupSizeError
-from .spectral import _check_real, _finite_array, _verdicts
+from .spectral import _check_real, _check_verdict, _finite_array, _verdicts
 
 DEFAULT_ALPHA = 0.5
 # Reward spreads below this carry no ranking signal; advantages are zeroed
@@ -24,12 +24,15 @@ STD_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class RolloutOutcome:
-    """Verifier verdict plus the rank score of one rollout."""
+    """Verifier verdict plus the rank score of one rollout: the verdict a
+    bool or an integer 0 or 1, stored as a bool, and the score a number in
+    [0, 1]."""
 
     correct: bool
     norm_rank: float
 
     def __post_init__(self):
+        object.__setattr__(self, "correct", _check_verdict(self.correct, "correct"))
         object.__setattr__(self, "norm_rank", _check_real(self.norm_rank, "norm_rank", 0, 1))
 
 
@@ -56,8 +59,9 @@ def _gated(correct, norm_rank: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def total_reward(outcome: RolloutOutcome, alpha: float = DEFAULT_ALPHA) -> float:
-    """The gated reward of one outcome: gated_rewards of a group of one."""
-    return float(gated_rewards([outcome.correct], [outcome.norm_rank], alpha)[0])
+    """The gated reward of one outcome: gated_rewards of a group of one. The
+    outcome checked its fields when it was built."""
+    return float(_gated(outcome.correct, outcome.norm_rank, check_alpha(alpha)))
 
 
 def group_advantages(rewards) -> np.ndarray:

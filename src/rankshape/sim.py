@@ -367,10 +367,17 @@ def rollout(policy: PolicyParams, env: EnvSpec, seed) -> Rollout:
     return Rollout(tokens=tokens[0], states=states[0], correct=bool(correct[0]))
 
 
-def _group_counts(token_seqs, advantages, vocab: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one check of a group: a (G, T) integer token array with ids in
-    [0, vocab), and exactly G finite advantages. Returns each rollout's
-    token counts, (G, vocab), and the advantages as a float64 array."""
+def _checked_group(logits, scale, token_seqs, advantages):
+    """The one check of the group step: a finite logit vector and a finite
+    scale whose product is finite too, a (G, T) integer token array with ids
+    in [0, vocab), and exactly G finite advantages. Returns the scale as a
+    float, scale * logits, the tokens, and the advantages as a float64 array."""
+    logits = _finite_array(logits, "logits", 1)
+    scale = _check_real(scale, "scale")
+    with np.errstate(over="ignore"):
+        z = scale * logits
+    if not np.isfinite(z).all():
+        raise InputError(f"scale {scale} times the logits overflows the float range")
     try:
         tokens = np.asarray(token_seqs)
     except ValueError:  # numpy refuses ragged sequences
@@ -380,9 +387,9 @@ def _group_counts(token_seqs, advantages, vocab: int) -> tuple[np.ndarray, np.nd
             or a.shape != tokens.shape[:1]):
         raise InputError(f"need a (G, T) integer token array and G advantages, got "
                          f"{tokens.dtype} tokens of shape {tokens.shape}, advantages {a.shape}")
-    if np.any(tokens < 0) or np.any(tokens >= vocab):
-        raise InputError(f"token ids must be in [0, {vocab})")
-    return _token_counts(tokens, vocab), a
+    if np.any(tokens < 0) or np.any(tokens >= z.size):
+        raise InputError(f"token ids must be in [0, {z.size})")
+    return scale, z, tokens, a
 
 
 def _token_counts(tokens: np.ndarray, vocab: int) -> np.ndarray:
@@ -394,28 +401,15 @@ def _token_counts(tokens: np.ndarray, vocab: int) -> np.ndarray:
     return np.bincount(ids.ravel(), minlength=G * vocab).reshape(G, vocab)
 
 
-def _scaled_logits(logits, scale) -> tuple[float, np.ndarray]:
-    """The one check of the group step's policy: the scale as a float and
-    scale * logits, for a finite logit vector and a finite scale whose
-    product is finite too."""
-    logits = _finite_array(logits, "logits", 1)
-    scale = _check_real(scale, "scale")
-    with np.errstate(over="ignore"):
-        z = scale * logits
-    if not np.isfinite(z).all():
-        raise InputError(f"scale {scale} times the logits overflows the float range")
-    return scale, z
-
-
 def weighted_log_prob(logits, scale: float, token_seqs, advantages) -> float:
     """sum_i A_i * log pi(tokens_i) with the advantages held fixed, over a
     group given as a (G, T) token array and G advantages. A sum past the
     float range is an InputError."""
-    _, z = _scaled_logits(logits, scale)
-    counts, a = _group_counts(token_seqs, advantages, z.size)
+    _, z, tokens, a = _checked_group(logits, scale, token_seqs, advantages)
     with np.errstate(over="ignore", invalid="ignore"):
         z -= z.max()  # the log-softmax, which stays finite where softmax underflows to 0
-        weighted = float(np.sum(a * (counts @ (z - np.log(np.exp(z).sum())))))
+        # Each rollout sums its drawn tokens only, so an undrawn one at -inf adds nothing.
+        weighted = float(np.sum(a * (z - np.log(np.exp(z).sum()))[tokens].sum(axis=1)))
     if not np.isfinite(weighted):
         raise InputError("the weighted log-probability overflows the float range")
     return weighted
@@ -428,10 +422,9 @@ def policy_gradient(logits, scale: float, token_seqs, advantages) -> np.ndarray:
     For i.i.d. softmax sampling this is scale * sum_i A_i (counts_i - T * p).
     A gradient past the float range is an InputError.
     """
-    scale, z = _scaled_logits(logits, scale)
-    counts, a = _group_counts(token_seqs, advantages, z.size)
+    scale, z, tokens, a = _checked_group(logits, scale, token_seqs, advantages)
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = scale * _gradient(counts, a, counts.sum(axis=1, keepdims=True) * _softmax(z))
+        grad = scale * _gradient(_token_counts(tokens, z.size), a, tokens.shape[1] * _softmax(z))
     if not np.isfinite(grad).all():
         raise InputError("the policy gradient overflows the float range")
     return grad

@@ -67,19 +67,16 @@ def _finite_array(values, what: str, ndim: int, least: int = 1, short=InputError
 
 def _verdicts(values, n: int) -> np.ndarray:
     """The one check of a verdict array: values as a bool vector of n
-    verdicts, each a bool or an integer 0 or 1. Anything else, such as
-    strings, floats, NaN, a bare value or a vector of another length, is an
-    InputError."""
+    verdicts, each passing _check_verdict. Anything else, such as a bare
+    value or a vector of another length, is an InputError."""
     try:
         V = np.asarray(values)
     except ValueError as exc:  # numpy refuses ragged rows
         raise InputError(f"verdicts must be a vector of {n} bools or 0/1: {exc}") from None
-    if V.shape != (n,) or V.dtype.kind not in "biu":
+    if V.shape != (n,):
         raise InputError(f"verdicts must be a vector of {n} bools or 0/1, "
                          f"got {V.dtype} entries of shape {V.shape}")
-    if V.dtype.kind != "b" and not ((V == 0) | (V == 1)).all():
-        raise InputError("verdicts must be bools or the integers 0 and 1")
-    return V.astype(bool)
+    return np.array([_check_verdict(v, "each of the verdicts") for v in V.tolist()], dtype=bool)
 
 
 # Integer arguments that reach numpy or range are bounded by this (int64's
@@ -107,6 +104,15 @@ def _check_int(value, what: str, low=None, high=None, error=InputError) -> int:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return _within(int(value), what, error, low=low, high=high)
+
+
+def _check_verdict(value, what: str) -> bool:
+    """The one verdict rule: value as a bool. A verdict is a Python or numpy
+    bool, or an integer 0 or 1; anything else, such as 1.0, "true" or None,
+    is an InputError."""
+    if isinstance(value, (np.bool_, numbers.Integral)) and value in (0, 1):
+        return bool(value)
+    raise InputError(f"{what} must be a bool or 0/1, got {value!r}")
 
 
 def _check_real(value, what: str, low=None, high=None, above=None, below=None,

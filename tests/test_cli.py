@@ -812,6 +812,19 @@ def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
         assert f"line {len(text.splitlines())}" in err
 
 
+@pytest.mark.parametrize("argv, text, error_code, where", [
+    (["reward"], '{"correct": 1.0, "norm_rank": 0.5}\n', "input", "record line 1: "),
+    (["reward"], '{"correct": 0.0, "norm_rank": 0.5}\n', "input", "record line 1: "),
+    (["fit-decouple"], SAMPLES_HEADER + "2.0,0.5,2\n", "bad_value", "row 2: "),
+], ids=["reward-float-one", "reward-float-zero", "fit-decouple-two"])
+def test_a_verdict_follows_the_one_rule(capsys, tmp_path, argv, text, error_code, where):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error [{error_code}]: {where}correct must be a bool or 0/1, got ")
+
+
 @pytest.mark.parametrize("name, text", [("empty.csv", ""), ("blanks.csv", "\n\r\n\n")],
                          ids=["empty", "blanks"])
 def test_empty_csv_is_one_error_line(tmp_path, name, text):

@@ -6,6 +6,10 @@ escape.
 The table also checks its own coverage: every public callable, dataclass or
 public method with an int- or float-annotated parameter is in the table or
 on the exemption list, with its reason.
+
+The verdict table does the same for the one verdict rule: every public
+``correct`` parameter refuses what is not a bool or an integer 0 or 1, and
+stores what it accepts as a Python bool.
 """
 
 import inspect
@@ -179,3 +183,57 @@ def test_the_table_covers_every_numeric_parameter():
         assert name in TABLE, f"{name} takes {parameters} but is neither in TABLE nor EXEMPT"
         missing = set(parameters) - set(TABLE[name][2])
         assert not missing, f"TABLE varies none of {name}'s {sorted(missing)}"
+
+
+REFUSED_VERDICTS = ["abc", "true", 1.0, np.float64(0), math.nan, 2, -1, None]
+ACCEPTED_VERDICTS = [True, np.True_, 1, 0, np.int8(1), np.uint8(0)]
+
+# name: a call that takes one verdict and returns the verdict it stored. A
+# gated reward is positive exactly when its verdict is correct.
+VERDICT_TABLE = {
+    "RolloutOutcome": lambda v: RolloutOutcome(correct=v, norm_rank=0.5).correct,
+    "DecouplingSample": lambda v: DecouplingSample(eff_rank=2.0, entropy=0.5, correct=v).correct,
+    "gated_rewards": lambda v: bool(gated_rewards([v], [0.5])[0] > 0),
+}
+VERDICT_EXEMPT = {"Rollout": "a record of rollout's result, whose verdicts sample_group computes"}
+
+
+def test_every_verdict_is_refused_or_stored_as_a_bool():
+    tally = {"refused": 0, "accepted": 0}
+    wrong = []
+    for name, call in sorted(VERDICT_TABLE.items()):
+        for value, valid in ([(v, False) for v in REFUSED_VERDICTS]
+                             + [(v, True) for v in ACCEPTED_VERDICTS]):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    stored = call(value)
+            except RankshapeError:
+                result = "refused"
+            except Exception as exc:  # any other escape is what this test reports
+                wrong.append(f"{name}({value!r}): {type(exc).__name__}: {exc}")
+                continue
+            else:
+                result = "accepted"
+            tally[result] += 1
+            if valid and not (result == "accepted" and type(stored) is bool
+                              and stored == bool(value)):
+                wrong.append(f"{name}({value!r}) {result}, not stored as {bool(value)}")
+            elif not valid and result != "refused":
+                wrong.append(f"{name}({value!r}) accepted as {stored!r}")
+    calls = len(VERDICT_TABLE) * (len(REFUSED_VERDICTS) + len(ACCEPTED_VERDICTS))
+    print(f"VERDICTS {calls} calls: {tally['refused']} refused, {tally['accepted']} accepted, "
+          f"{calls - sum(tally.values())} raw")
+    assert not wrong, "\n".join(wrong)
+
+
+def test_the_verdict_table_covers_every_correct_parameter():
+    found = set()
+    for name in rankshape.__all__:
+        try:
+            parameters = inspect.signature(getattr(rankshape, name)).parameters
+        except (TypeError, ValueError):
+            continue
+        if "correct" in parameters:
+            found.add(name)
+    assert found == set(VERDICT_TABLE) | set(VERDICT_EXEMPT)

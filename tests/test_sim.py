@@ -458,6 +458,13 @@ class TestPolicyGradient:
         npt.assert_array_equal(policy_gradient([1e308, -1e308], 1.0, [[0, 1]], [1.0]),
                                [-1.0, 1.0])
 
+    def test_undrawn_token_at_minus_inf_adds_nothing(self):
+        # The logit spread underflows token 1's probability to 0, so its
+        # log-probability is -inf; only a group that draws it is refused.
+        assert weighted_log_prob([1e308, -1e308], 1.0, [[0, 0]], [1.0]) == 0.0
+        with pytest.raises(InputError, match="overflows the float range"):
+            weighted_log_prob([1e308, -1e308], 1.0, [[1, 1]], [1.0])
+
 
 class TestTrain:
     def test_zero_learning_rate_keeps_policy(self):

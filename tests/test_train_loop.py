@@ -72,7 +72,7 @@ def test_train_equals_the_public_function_loop(name):
 CHECKED = [
     (sim, "policy_gradient"), (sim, "weighted_log_prob"), (sim, "group_advantages"),
     (sim, "total_reward"), (sim, "windowed_min_effrank"), (sim, "sample_group"),
-    (sim, "rollout"), (sim, "_group_counts"),
+    (sim, "rollout"), (sim, "_checked_group"),
     (rewards, "gated_rewards"), (rewards, "group_advantages"), (rewards, "total_reward"),
     (windows, "stacked_min_effrank"), (windows, "windowed_min_effrank"),
     (windows, "_score_windows"),
