@@ -74,12 +74,6 @@ class EnvSpec:
         return self.vocab - self.n_null
 
 
-def _check_seed(seed) -> None:
-    """The simulator's one seed rule: a seed is a non-negative integer, not a bool."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def _check_memory(floats: int, request: str, arrays: str) -> None:
     """The simulator's one memory rule: refuse a request whose float64 arrays
     alone exceed the host's physical memory, before anything is drawn.
@@ -111,7 +105,7 @@ def build_env(seed: int, d: int = RunConfig.dim, vocab: int = RunConfig.vocab,
     and vocab x d direction table the host cannot hold are refused before
     anything is drawn.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed", low=0)
     d = _check_int(d, "d", low=2)
     vocab = _check_int(vocab, "vocab", low=2)
     bias_dim = _check_int(bias_dim, "bias_dim", 1, d - 1)
@@ -196,8 +190,7 @@ def _entropy_words(entropy) -> list[int]:
     words in turn."""
     if isinstance(entropy, (list, tuple)):
         return [word for item in entropy for word in _entropy_words(item)]
-    _check_seed(entropy)
-    n = int(entropy)
+    n = _check_int(entropy, "seed", low=0)
     return [n >> 32 * k & 0xFFFFFFFF for k in range(max(1, -(-n.bit_length() // 32)))]
 
 
@@ -408,8 +401,10 @@ def weighted_log_prob(logits, scale: float, token_seqs, advantages) -> float:
     _, z, tokens, a = _checked_group(logits, scale, token_seqs, advantages)
     with np.errstate(over="ignore", invalid="ignore"):
         z -= z.max()  # the log-softmax, which stays finite where softmax underflows to 0
-        # Each rollout sums its drawn tokens only, so an undrawn one at -inf adds nothing.
-        weighted = float(np.sum(a * (z - np.log(np.exp(z).sum()))[tokens].sum(axis=1)))
+        # Each rollout sums its drawn tokens only, so an undrawn one at -inf adds
+        # nothing, and a rollout with advantage 0 adds nothing even if it drew one.
+        per_rollout = (z - np.log(np.exp(z).sum()))[tokens].sum(axis=1)
+        weighted = float(np.sum(np.where(a != 0, a * per_rollout, 0.0)))
     if not np.isfinite(weighted):
         raise InputError("the weighted log-probability overflows the float range")
     return weighted
@@ -496,7 +491,7 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     group_advantages and policy_gradient on the arrays it builds, and
     checks only that each update leaves the logits finite.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed", low=0)
     alpha = check_alpha(alpha)
     _check_policy(init_policy, env)
     group_size = _check_int(group_size, "group_size", low=2, error=GroupSizeError)
@@ -504,9 +499,8 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     learning_rate = _check_real(learning_rate, "learning_rate", low=0)
     starts, w, r_max = _window_plan(env.horizon, env.d, window, stride)
     _check_draws(group_size, env)
-    if max(iterations, group_size) > 2**32:  # each index is one uint32 entropy word
-        raise InputError(f"iterations and group_size must be at most 2**32, got "
-                         f"{iterations} and {group_size}")
+    # Each index is one uint32 entropy word.
+    _check_int(max(iterations, group_size), "iterations and group_size", high=2**32)
 
     logits = init_policy.copy().logits
     its = np.arange(iterations)
@@ -568,7 +562,7 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
     Sharper policies visit fewer directions, so the estimated mean rank
     should fall (within sampling noise) as the scale grows.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed", low=0)
     scales = [_check_real(s, "scale", above=0) for s in scales]
     if not scales or any(b <= a for a, b in zip(scales, scales[1:])):
         raise InputError(f"scales must be one or more, strictly ascending, got {scales}")
@@ -594,7 +588,7 @@ def geometric_barrier_probe(policy: PolicyParams, env: EnvSpec, delta: float,
     Near zero for policies trapped in the bias subspace; rises once the
     policy routes mass through complement-heavy tokens.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed", low=0)
     delta = _check_real(delta, "delta", above=0, error=RangeError)
     samples = _check_int(samples, "samples", low=1, error=RangeError)
     _check_draws(samples, env)

@@ -320,7 +320,7 @@ def test_group_of_mixed_seed_lengths_equals_generator_choice():
         "array", "array-entropy", "pool-size-8", "spawn-key"])
 def test_seeds_the_drawer_cannot_reproduce_are_refused(seed):
     env = build_env(0)
-    with pytest.raises(InputError, match="seed must be a non-negative integer|pool_size 4"):
+    with pytest.raises(InputError, match=r"seed must be (an integer|>= 0)|pool_size 4"):
         sample_group(biased_init(env), env, [3, seed])
 
 
@@ -465,6 +465,14 @@ class TestPolicyGradient:
         with pytest.raises(InputError, match="overflows the float range"):
             weighted_log_prob([1e308, -1e308], 1.0, [[1, 1]], [1.0])
 
+    def test_zero_advantage_rollout_at_minus_inf_adds_nothing(self):
+        # Rollout 0 drew token 1, whose log-probability is -inf, but its
+        # advantage is 0: it adds nothing to the sum, as it adds nothing to
+        # the gradient, instead of 0 * -inf = NaN.
+        group = ([1e308, -1e308], 1.0, [[1, 1], [0, 0]], [0.0, 1.0])
+        assert weighted_log_prob(*group) == 0.0
+        assert np.array_equal(policy_gradient(*group), [0.0, 0.0])
+
 
 class TestTrain:
     def test_zero_learning_rate_keeps_policy(self):
@@ -527,9 +535,9 @@ class TestTrain:
     ({"horizon": 1}, TrajectoryTooShortError, "trajectory too short"),
     ({"window": 1}, InputError, "window width must be >= 2"),
     ({"stride": 0}, InputError, "stride must be >= 1"),
-    ({"seed": True}, InputError, "seed must be a non-negative integer"),
+    ({"seed": True}, InputError, "seed must be an integer, got True"),
     ({"vocab": 3}, InputError, "logits for a 32-token vocabulary"),
-    ({"iterations": 2**32 + 1}, InputError, r"at most 2\*\*32"),
+    ({"iterations": 2**32 + 1}, InputError, "iterations and group_size must be <= 4294967296"),
     ({"iterations": 2.5}, InputError, "iterations must be an integer"),
     ({"window": 8.0}, InputError, "window width must be an integer"),
     ({"stride": 4.0}, InputError, "stride must be an integer"),
@@ -625,8 +633,34 @@ def test_env_frame_beyond_physical_memory_refused():
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 @pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
 def test_seed_must_be_a_non_negative_integer(entry, seed):
-    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+    with pytest.raises(InputError, match=r"seed must be (an integer|>= 0), got "):
         SEED_ENTRY_POINTS[entry](build_env(0), seed)
+
+
+# Every entry point that takes a seed, the drawer's included.
+ALL_SEED_ENTRY_POINTS = {
+    **SEED_ENTRY_POINTS,
+    "sample_group": lambda env, seed: sample_group(biased_init(env), env, [seed]),
+    "rollout": lambda env, seed: rollout(biased_init(env), env, seed),
+}
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, r"^seed must be >= 0, got -1$"),
+    (1.5, r"^seed must be an integer, got 1\.5$"),
+    (True, r"^seed must be an integer, got True$"),
+], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("entry", sorted(ALL_SEED_ENTRY_POINTS))
+def test_every_seed_entry_point_words_the_integer_rule(entry, seed, message):
+    with pytest.raises(InputError, match=message):
+        ALL_SEED_ENTRY_POINTS[entry](build_env(0), seed)
+
+
+@pytest.mark.parametrize("entry", ["train", "temperature_sweep", "geometric_barrier_probe"])
+def test_a_list_seed_is_refused_where_one_seed_is_asked(entry):
+    # sample_group reproduces list seeds, but these entry points take one integer.
+    with pytest.raises(InputError, match=r"^seed must be an integer, got \[1, 2\]$"):
+        SEED_ENTRY_POINTS[entry](build_env(0), [1, 2])
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_train.json").read_text())

@@ -94,7 +94,7 @@ def test_train_runs_without_the_checked_public_functions(monkeypatch):
     assert np.array_equal(trace.final_policy.logits, expected.final_policy.logits)
 
 
-CHECKS = ("_finite_array", "_check_int", "_check_real", "_within", "check_alpha", "_check_seed",
+CHECKS = ("_finite_array", "_check_int", "_check_real", "_within", "check_alpha",
           "_check_policy", "_check_draws", "_check_memory", "_checked_starts")
 
 
