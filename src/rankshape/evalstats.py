@@ -20,7 +20,7 @@ from .errors import (
     SeparableDataError,
 )
 from .io import text_lines
-from .spectral import INT64_MAX, _check_int, _check_real, _check_verdict
+from .spectral import FINITE_CHUNK, INT64_MAX, _check_int, _check_real, _check_verdict
 
 DECOUPLING_CSV_HEADER = ("eff_rank", "entropy", "correct")
 
@@ -79,17 +79,29 @@ def pass_curve(pc: PassCounts, ks) -> dict[int, float]:
     Each problem's 1 - C(n-c, k) / C(n, k) is evaluated as a running product
     of (n-c-i)/(n-i), for all problems at once, so no binomial coefficient is
     ever materialized. A problem with fewer than k incorrect samples meets a
-    zero factor and scores exactly 1.0.
+    zero factor and scores exactly 1.0. Every k is checked first; then one
+    product runs up to the largest k, at most FINITE_CHUNK floats of factors
+    at a time, and each k's curve value is read off it.
     """
-    wrong = pc.n - np.array(pc.counts)
-    result: dict[int, float] = {}
-    for k in ks:
-        k = _check_int(k, "k", 1, pc.n, error=RangeError)
-        miss = np.ones(pc.problems)
-        for i in range(k):
-            miss *= (wrong - i) / (pc.n - i)
-        result[k] = float(np.mean(1.0 - miss))
-    return result
+    ks = [_check_int(k, "k", 1, pc.n, error=RangeError) for k in ks]
+    wrong = pc.n - np.array(pc.counts)[:, None]
+    todo = sorted(set(ks), reverse=True)
+    curve = {}
+    top = max(ks, default=0)
+    step = max(1, FINITE_CHUNK // pc.problems - 1)
+    # Column j of a chunk starting at factor i0 is the product of its
+    # problem's first i0 + j factors; column 0 carries the previous chunk's.
+    product = np.ones((pc.problems, min(step, top) + 1))
+    for i0 in range(0, top, step):
+        i = np.arange(i0, min(i0 + step, top))
+        chunk = product[:, :len(i) + 1]
+        np.divide(wrong - i, pc.n - i, out=chunk[:, 1:])
+        np.multiply.accumulate(chunk, axis=1, out=chunk)
+        while todo and todo[-1] <= i0 + len(i):
+            k = todo.pop()
+            curve[k] = float(np.mean(1.0 - chunk[:, k - i0]))
+        product[:, 0] = chunk[:, -1]
+    return {k: curve[k] for k in ks}
 
 
 @dataclass(frozen=True)

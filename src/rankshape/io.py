@@ -53,7 +53,7 @@ def write_trajectory(path, H, metadata: dict | None = None) -> None:
     if path.suffix.lower() == ".csv":
         if metadata is not None:
             raise InputError("CSV trajectories cannot carry metadata")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _file_errors("write", path), open(path, "w", encoding="utf-8", newline="") as fh:
             for row in H:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
         return
@@ -62,7 +62,7 @@ def write_trajectory(path, H, metadata: dict | None = None) -> None:
     if not _all_finite(payload):
         raise InputError("trajectory values exceed the float32 range")
     meta = None if metadata is None else json.dumps(metadata).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _file_errors("write", path), open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, H.shape[0], H.shape[1]))
         fh.write(payload)  # its buffer, so the payload's bytes are not copied
         if meta is not None:

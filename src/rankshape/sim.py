@@ -28,7 +28,7 @@ from .io import RunConfig, text_lines
 # here, but perfbench/spans.py traces them under rankshape.sim, so the
 # names must keep resolving in this module.
 from .rewards import _advantages, _gated, check_alpha, group_advantages, total_reward  # noqa: F401
-from .spectral import _check_int, _check_real, _finite_array, entropy_rows, erank_stack
+from .spectral import _check_int, _check_real, _erank_stack, _finite_array, entropy_rows
 from .windows import _min_norm, _window_eranks, _window_plan, windowed_min_effrank  # noqa: F401
 
 # Null tokens put this fraction range of their norm in the complement and
@@ -574,7 +574,7 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
         _, states, _ = sample_group(
             PolicyParams(s * policy.logits), env,
             [[seed, j, i] for i in range(samples_per_scale)])
-        values = erank_stack(states)
+        values = _erank_stack(states)
         means.append(float(values.mean()))
         errors.append(float(values.std(ddof=1) / np.sqrt(samples_per_scale))
                       if samples_per_scale > 1 else 0.0)

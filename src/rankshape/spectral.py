@@ -41,25 +41,43 @@ def _all_finite(A: np.ndarray) -> bool:
     return all(np.isfinite(A[i:i + step]).all() for i in range(0, len(A), step))
 
 
-def _finite_array(values, what: str, ndim: int, least: int = 1, short=InputError) -> np.ndarray:
-    """The one array check of the library's public entry points: values as
-    a float64 array of ndim axes, each at least ``least`` long (else
-    ``short`` is raised), with finite real entries. Anything else, such as
-    complex numbers, strings, ragged rows or NaN, is an InputError."""
+def _real_floats(values, what: str, kind: str) -> np.ndarray:
+    """values as a float64 array of real numbers: complex numbers, strings,
+    ragged rows and ints past the float range are an InputError, naming
+    ``what`` a numeric ``kind``."""
     try:
         A = np.asarray(values)
         if np.iscomplexobj(A):
             raise InputError(f"{what} must be real, got complex numbers")
         if A.dtype.kind not in "biufO":
             raise TypeError(f"got {A.dtype} entries")
-        A = A.astype(np.float64, copy=False)
-    except (TypeError, ValueError) as exc:
-        kind = "vector" if ndim == 1 else "matrix"
+        return A.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be a numeric {kind}: {exc}") from None
+
+
+def _finite_array(values, what: str, ndim: int, least: int = 1, short=InputError) -> np.ndarray:
+    """The one array check of the library's public entry points: values as
+    a float64 array of ndim axes, each at least ``least`` long (else
+    ``short`` is raised), with finite real entries. Anything else, such as
+    complex numbers, strings, ragged rows or NaN, is an InputError."""
+    A = _real_floats(values, what, "vector" if ndim == 1 else "matrix")
     if A.ndim != ndim:
         raise InputError(f"{what} must be {ndim}-D, got shape {A.shape}")
     if min(A.shape) < least:
         raise short(f"{what} must have {least} or more entries on each axis, got shape {A.shape}")
+    if not _all_finite(A):
+        raise InputError(f"{what} must be finite")
+    return A
+
+
+def _finite_stack(values, what: str) -> np.ndarray:
+    """_finite_array for a (..., T, d) stack of trajectories: two or more
+    axes, T and d at least 1, finite real entries, else an InputError. The
+    leading axes may be empty: an empty stack scores empty."""
+    A = _real_floats(values, what, "stack")
+    if A.ndim < 2 or min(A.shape[-2:]) < 1:
+        raise InputError(f"{what} must be a (..., T, d) stack with T, d >= 1, got shape {A.shape}")
     if not _all_finite(A):
         raise InputError(f"{what} must be finite")
     return A
@@ -275,14 +293,17 @@ def erank_or_floor(spectrum: Spectrum) -> float:
     return float(_erank_rows(spectrum.eigenvalues))
 
 
-def erank_stack(H: np.ndarray) -> np.ndarray:
+def erank_stack(H) -> np.ndarray:
     """erank_or_floor of the covariance spectrum of each trajectory in a
-    (..., T, d) float32 or float64 stack, from one stacked eigensolve.
+    (..., T, d) stack, from one stacked eigensolve. The stack must hold
+    finite real numbers (_finite_stack)."""
+    return _erank_stack(_finite_stack(H, "stack"))
 
-    The stack is trusted to be finite: the simulator builds it, and the
-    windows that _window_eranks passes come from a trajectory checked by
-    validate_trajectory or by the reader.
-    """
+
+def _erank_stack(H: np.ndarray) -> np.ndarray:
+    """erank_stack of a (..., T, d) float32 or float64 stack trusted to be
+    finite: the simulator builds it, and the windows that _own_eranks passes
+    come from a trajectory checked by validate_trajectory or by the reader."""
     return _erank_rows(_centered_eigh(H)[2])
 
 

@@ -18,9 +18,10 @@ from .spectral import (  # noqa: F401
     INT64_MAX,
     _check_int,
     _erank_rows,
+    _erank_stack,
+    _finite_stack,
     _top_eigen,
     covariance_spectrum,
-    erank_stack,
     validate_trajectory,
 )
 
@@ -59,14 +60,10 @@ def window_starts(T: int, width: int, stride: int) -> list[int]:
 
     Strided starts, plus a final window flushed to the trajectory end when
     the grid does not land on it. A trajectory no longer than the width is
-    a single window. The arguments are integers under _checked_starts' rule.
+    a single window. This is the one window rule: T, width and stride are
+    integers, T fits int64, width >= 2, stride >= 1 and T >= 2.
     """
-    return _checked_starts(_check_int(T, "T", high=INT64_MAX), width, stride)
-
-
-def _checked_starts(T: int, width: int, stride: int) -> list[int]:
-    """The window arguments' rule for trajectories of T steps, T an integer,
-    then their starts (window_starts)."""
+    T = _check_int(T, "T", high=INT64_MAX)
     width = _check_int(width, "window width", low=2)
     stride = _check_int(stride, "stride", low=1)
     if T < 2:
@@ -79,26 +76,11 @@ def _checked_starts(T: int, width: int, stride: int) -> list[int]:
     return starts
 
 
-def _normalize(min_erank, r_max: int):
-    if r_max < 2:
-        raise NormalizationError("normalization degenerate: r_max < 2")
-    return np.clip((min_erank - 1.0) / (r_max - 1.0), 0.0, 1.0)
-
-
 def _window_plan(T: int, d: int, width: int, stride: int):
-    """Check the window arguments for (T, d) trajectories, T an integer, and
-    plan their windows: returns (starts, w, r_max), the window starts, the
-    rows of each window and the normalization ceiling of the width in d
-    dimensions."""
-    return _checked_starts(T, width, stride), min(width, T), int(min(width, d))
-
-
-def _score_windows(H: np.ndarray, width: int, stride: int):
-    """Check the window arguments against a (..., T, d) trajectory stack and
-    score its windows: returns (starts, eranks with shape (..., windows),
-    r_max)."""
-    starts, w, r_max = _window_plan(*H.shape[-2:], width, stride)
-    return starts, _window_eranks(H, np.asarray(starts), w), r_max
+    """Check the window arguments for (T, d) trajectories and plan their
+    windows: returns (starts, w, r_max), the window starts, the rows of each
+    window and the normalization ceiling of the width in d dimensions."""
+    return window_starts(T, width, stride), min(width, T), int(min(width, d))
 
 
 def windowed_min_effrank(H, width: int = DEFAULT_WIDTH, stride: int = DEFAULT_STRIDE) -> WindowRankProfile:
@@ -113,12 +95,12 @@ def windowed_min_effrank(H, width: int = DEFAULT_WIDTH, stride: int = DEFAULT_ST
 def _profile(H: np.ndarray, width: int, stride: int) -> WindowRankProfile:
     """windowed_min_effrank of a (T, d) float32 or float64 matrix that is
     already known to be finite, such as io._read_stored returns."""
-    starts, eranks, r_max = _score_windows(H, width, stride)
+    starts, w, r_max = _window_plan(*H.shape, width, stride)
     return WindowRankProfile(
         window_width=width,
         stride=stride,
         starts=tuple(starts),
-        per_window_erank=tuple(eranks.tolist()),
+        per_window_erank=tuple(_window_eranks(H, np.asarray(starts), w).tolist()),
         r_max=r_max,
     )
 
@@ -148,8 +130,8 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     that every block reuses; the widening is exact, so a float32 trajectory
     scores as its float64 image does, and no block is copied before it is
     shifted. H is trusted to be finite:
-    the public entry points take it from validate_trajectory or from the
-    reader, and the simulator builds its own states.
+    the public entry points take it from validate_trajectory, _finite_stack
+    or the reader, and the simulator builds its own states.
     """
     if w >= H.shape[-1]:
         return _own_eranks(H, starts, w)
@@ -184,16 +166,16 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
 
 def _own_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     """_window_eranks of the (..., T, d) stack H with each window scored from
-    its own centred rows through erank_stack. The windows are copied out of
+    its own centred rows through _erank_stack. The windows are copied out of
     the stack as many at a time as fit in OWN_ROWS_FLOATS (at least one);
     a lone window, such as a whole trajectory, is scored as a view."""
     if len(starts) == 1:
-        return erank_stack(H[..., None, starts[0]:starts[0] + w, :])
+        return _erank_stack(H[..., None, starts[0]:starts[0] + w, :])
     eranks = np.empty(H.shape[:-2] + (len(starts),))
     rows = starts[:, None] + np.arange(w)
     chunk = max(1, OWN_ROWS_FLOATS // max(1, H[..., 0, :].size * w))
     for k in range(0, len(starts), chunk):
-        eranks[..., k:k + chunk] = erank_stack(H[..., rows[k:k + chunk], :])
+        eranks[..., k:k + chunk] = _erank_stack(H[..., rows[k:k + chunk], :])
     return eranks
 
 
@@ -203,20 +185,23 @@ def stacked_min_effrank(states: np.ndarray, width: int = DEFAULT_WIDTH,
 
     The same windows, scorer, zero-variance floor and normalization as
     windowed_min_effrank followed by norm_rank, over the whole stack at
-    once. The states are trusted to be finite float64, as the simulator
-    builds them.
+    once. The states must hold finite real numbers (_finite_stack).
     """
-    _, eranks, r_max = _score_windows(states, width, stride)
-    return _min_norm(eranks, r_max)
+    states = _finite_stack(states, "states")
+    starts, w, r_max = _window_plan(*states.shape[-2:], width, stride)
+    return _min_norm(_window_eranks(states, np.asarray(starts), w), r_max)
 
 
 def _min_norm(eranks: np.ndarray, r_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Each trajectory's min_erank over its (..., windows) eranks, and its
-    norm_rank under the ceiling r_max."""
+    norm_rank: min_erank mapped affinely from [1, r_max] onto [0, 1],
+    clamped."""
+    if r_max < 2:
+        raise NormalizationError("normalization degenerate: r_max < 2")
     min_erank = eranks.min(axis=-1)
-    return min_erank, _normalize(min_erank, r_max)
+    return min_erank, np.clip((min_erank - 1.0) / (r_max - 1.0), 0.0, 1.0)
 
 
 def norm_rank(profile: WindowRankProfile) -> float:
     """Affine map of min_erank from [1, r_max] onto [0, 1], clamped."""
-    return float(_normalize(profile.min_erank, profile.r_max))
+    return float(_min_norm(np.asarray(profile.per_window_erank), profile.r_max)[1])

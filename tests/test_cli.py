@@ -132,7 +132,7 @@ def test_stored_float32_scores_as_its_float64_image(capsys, tmp_path, monkeypatc
         monkeypatch.setattr(windows, name, traced)
 
     spy("_top_eigen", "gram")
-    spy("erank_stack", "own")
+    spy("_erank_stack", "own")
     assert run_cli(capsys, "window-rank", str(path), "--w", str(width),
                    "--stride", str(stride)) == (0, expected_window, "")
     assert taken == paths

@@ -20,6 +20,7 @@ from rankshape import (
     pass_at_k,
     pass_curve,
 )
+from rankshape.spectral import FINITE_CHUNK
 
 
 def enumerate_pass_at_k(n, c, k):
@@ -143,11 +144,21 @@ def reference_pass_at_k(n, c, k):
 class TestPassCurve:
     def test_equals_per_problem_loop(self):
         rng = np.random.default_rng(5)
+        cases = []
         for _ in range(200):
             n = int(rng.integers(1, 80))
             # Counts near n give problems with n - c < k; k = n is always asked.
             counts = tuple(int(c) for c in rng.integers(0, n + 1, size=int(rng.integers(1, 30))))
             ks = sorted({int(k) for k in rng.integers(1, n + 1, size=4)} | {n})
+            cases.append((n, counts, ks))
+        # Products that cross chunks of FINITE_CHUNK floats: one problem's
+        # product runs past FINITE_CHUNK factors, and 3,000 problems fill a
+        # chunk every 20 factors.
+        cases.append((100_000, (3,), [1, FINITE_CHUNK - 2, FINITE_CHUNK - 1, FINITE_CHUNK,
+                                      70_000, 99_998, 100_000]))
+        cases.append((120, tuple(int(c) for c in rng.integers(0, 121, size=3000)),
+                      [1, 19, 20, 21, 41, 120]))
+        for n, counts, ks in cases:
             curve = pass_curve(PassCounts(n=n, counts=counts), ks)
             for k in ks:
                 assert curve[k] == float(np.mean([reference_pass_at_k(n, c, k) for c in counts]))

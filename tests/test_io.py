@@ -227,6 +227,15 @@ def test_cli_scores_hstb_without_a_whole_float64_copy(tmp_path, capsys, command,
     assert peak <= bound * payload_bytes
 
 
+@pytest.mark.parametrize("name", ["traj.hstb", "traj.csv"])
+def test_write_into_a_missing_directory_is_an_input_error(tmp_path, name):
+    path = tmp_path / "no" / "such" / name
+    with pytest.raises(InputError) as info:
+        write_trajectory(path, [[1.0, 2.0], [3.0, 4.0]])
+    assert str(info.value) == f"cannot write {path}: No such file or directory"
+    assert info.value.code == "input"
+
+
 class TestCsvTrajectories:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "traj.csv"

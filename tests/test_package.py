@@ -165,7 +165,6 @@ KEEPING_TESTS = ("test_acceptance.py", "test_properties.py", "test_window_oracle
 # Public names that nothing reads, each kept for a stated reason.
 NAMES_UNREAD_BUT_KEPT = {
     "gated_rewards": "train runs its core, rewards._gated",
-    "window_starts": "_window_plan runs its core, windows._checked_starts",
     "geometric_barrier_probe": "SOE stage-1 geometry, which ROADMAP item 6 decides",
     "plan_stitch": "SOE stage-1 geometry, which ROADMAP item 6 decides",
 }

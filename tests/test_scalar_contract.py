@@ -10,6 +10,10 @@ on the exemption list, with its reason.
 The verdict table does the same for the one verdict rule: every public
 ``correct`` parameter refuses what is not a bool or an integer 0 or 1, and
 stores what it accepts as a Python bool.
+
+The stack table does it for the stack check of the two public functions
+that take a (..., T, d) stack of trajectories: each refuses what is not a
+finite real stack and scores what is, as it scores its float64 image.
 """
 
 import inspect
@@ -28,6 +32,7 @@ from rankshape import (
     StitchPlan,
     biased_init,
     build_env,
+    erank_stack,
     gated_rewards,
     geometric_barrier_probe,
     lookahead_manifold,
@@ -237,3 +242,63 @@ def test_the_verdict_table_covers_every_correct_parameter():
         if "correct" in parameters:
             found.add(name)
     assert found == set(VERDICT_TABLE) | set(VERDICT_EXEMPT)
+
+
+NAN_DEEP_IN_A_STACK = np.random.default_rng(0).normal(size=(2, 40, 8))
+NAN_DEEP_IN_A_STACK[1, 30, 5] = math.nan
+REFUSED_STACKS = {
+    "strings": np.array([["1", "2"], ["3", "4"]]),
+    "nan": np.array([[[math.nan, 2.0], [3.0, 4.0]]]),
+    "nan deep in a stack": NAN_DEEP_IN_A_STACK,
+    "inf in a list": [[[1.0, 2.0], [math.inf, 4.0]]],
+    "int past the float range": [[[10**400, 2], [3, 4]]],
+    "complex": np.ones((2, 3, 2)) * (1 + 1j),
+    "ragged": [[[1.0, 2.0], [3.0]]],
+    "None entry": [[[1.0, None], [3.0, 4.0]]],
+    "None": None,
+    "scalar": 3.0,
+    "vector": [1.0, 2.0, 3.0],
+    "no rows": np.empty((2, 0, 3)),
+    "no columns": np.empty((2, 3, 0)),
+}
+ACCEPTED_STACKS = {
+    "float64": STATES,
+    "float32": STATES.astype(np.float32),
+    "list": STATES.tolist(),
+    "ints": np.arange(24).reshape(2, 4, 3) % 5,
+    "one trajectory": H,
+    "empty stack": np.empty((0, 20, 4)),
+}
+STACK_TABLE = {
+    "erank_stack": erank_stack,
+    "stacked_min_effrank": lambda stack: stacked_min_effrank(stack, 8, 4),
+}
+
+
+def test_every_stack_is_refused_or_scored_as_its_float64_image():
+    tally = {"refused": 0, "scored": 0}
+    wrong = []
+    for name, call in sorted(STACK_TABLE.items()):
+        for label, stack, valid in ([(k, v, False) for k, v in REFUSED_STACKS.items()]
+                                    + [(k, v, True) for k, v in ACCEPTED_STACKS.items()]):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    scored = call(stack)
+            except RankshapeError:
+                result = "refused"
+            except Exception as exc:  # any other escape is what this test reports
+                wrong.append(f"{name}({label}): {type(exc).__name__}: {exc}")
+                continue
+            else:
+                result = "scored"
+            tally[result] += 1
+            if valid and not (result == "scored" and np.array_equal(
+                    scored, call(np.asarray(stack, dtype=np.float64)))):
+                wrong.append(f"{name}({label}) {result}, not as its float64 image")
+            elif not valid and result != "refused":
+                wrong.append(f"{name}({label}) scored as {scored!r}")
+    calls = len(STACK_TABLE) * (len(REFUSED_STACKS) + len(ACCEPTED_STACKS))
+    print(f"STACKS {calls} calls: {tally['refused']} refused, {tally['scored']} scored, "
+          f"{calls - sum(tally.values())} raw escapes")
+    assert not wrong, "\n".join(wrong)

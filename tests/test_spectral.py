@@ -55,6 +55,7 @@ BAD_ARRAYS = {
     "complex": ([2 + 1j, 1.0], [[1.0, 2.0], [3.0, 1j]]),
     "nan": ([2.0, NAN], [[1.0, 2.0], [3.0, NAN]]),
     "inf": ([INF, 1.0], [[1.0, 2.0], [INF, 4.0]]),
+    "int-past-float": ([2.0, 10**400], [[1.0, 2.0], [3.0, 10**400]]),
     "wrong-axes": ([[2.0, 1.0]], [1.0, 2.0]),
     "empty": ([], np.zeros((0, 2))),
 }

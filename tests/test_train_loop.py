@@ -75,7 +75,6 @@ CHECKED = [
     (sim, "rollout"), (sim, "_checked_group"),
     (rewards, "gated_rewards"), (rewards, "group_advantages"), (rewards, "total_reward"),
     (windows, "stacked_min_effrank"), (windows, "windowed_min_effrank"),
-    (windows, "_score_windows"),
     (sim.PolicyParams, "probs"), (sim.PolicyParams, "entropy"),
 ]
 
@@ -95,7 +94,7 @@ def test_train_runs_without_the_checked_public_functions(monkeypatch):
 
 
 CHECKS = ("_finite_array", "_check_int", "_check_real", "_within", "check_alpha",
-          "_check_policy", "_check_draws", "_check_memory", "_checked_starts")
+          "_check_policy", "_check_draws", "_check_memory", "window_starts")
 
 
 def test_train_checks_once_whatever_the_iteration_count(monkeypatch):
@@ -118,4 +117,4 @@ def test_train_checks_once_whatever_the_iteration_count(monkeypatch):
         train(env, biased_init(env), alpha=0.5, iterations=iterations)
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
-    assert "check_alpha" in counts[0] and "_checked_starts" in counts[0]
+    assert "check_alpha" in counts[0] and "window_starts" in counts[0]

@@ -20,7 +20,7 @@ from rankshape import (
     window_starts,
     windowed_min_effrank,
 )
-from rankshape.windows import OWN_ROWS_FLOATS, _score_windows
+from rankshape.windows import OWN_ROWS_FLOATS, _window_eranks
 
 
 def profile_with(min_erank, r_max):
@@ -297,7 +297,7 @@ class TestStackedMinEffrank:
         H = np.random.default_rng(0).normal(size=(T, d)).astype(np.float32)
         tracemalloc.start()
         try:
-            _score_windows(H, w, s)
+            _window_eranks(H, np.asarray(window_starts(T, w, s)), w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -322,7 +322,7 @@ class TestStackedMinEffrank:
         chunk = max(1, OWN_ROWS_FLOATS // (w * d))
         tracemalloc.start()
         try:
-            _, eranks, _ = _score_windows(H, w, s)
+            eranks = _window_eranks(H, np.asarray(window_starts(T, w, s)), w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
