@@ -43,7 +43,6 @@ from .probes import (
     StitchPlan,
     lookahead_manifold,
     orthogonality_score,
-    plan_stitch,
     select_probe,
 )
 from .rewards import (

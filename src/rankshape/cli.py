@@ -124,60 +124,59 @@ def cmd_window_rank(args) -> int:
     return 0
 
 
-def _numbered_lines(path) -> list[tuple[int, str]]:
-    """(line number, stripped line) for each non-blank line of a text file."""
-    return [(n, line.strip()) for n, line in enumerate(text_lines(path), 1) if line.strip()]
+def _records(path, parse, where="line"):
+    """parse(line) for each non-blank, stripped line of a text file, read
+    whole first, so a missing or non-UTF-8 file fails before any record.
+    The one line-error rule: an InputError from parse keeps its class, and
+    so its code, and a ValueError becomes an InputError; either way the
+    message reads "<where> <n>: <reason>"."""
+    for n, line in [(n, s.strip()) for n, s in enumerate(text_lines(path), 1) if s.strip()]:
+        try:
+            record = parse(line)
+        except InputError as exc:
+            exc.args = (f"{where} {n}: {exc}",)
+            raise
+        except ValueError as exc:
+            raise InputError(f"{where} {n}: {exc}") from None
+        yield record  # outside the try: the caller's errors get no line label
+
+
+def _outcome(line: str) -> RolloutOutcome:
+    """One JSONL record with fields correct and norm_rank."""
+    try:
+        record = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"not valid JSON: {exc}") from None
+    if not isinstance(record, dict) or "correct" not in record or "norm_rank" not in record:
+        raise InputError("needs fields correct and norm_rank")
+    return RolloutOutcome(correct=record["correct"], norm_rank=record["norm_rank"])
 
 
 def cmd_reward(args) -> int:
     check_alpha(args.alpha)
-    for lineno, line in _numbered_lines(args.records):
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError(f"record line {lineno} is not valid JSON: {exc}") from None
-        if not isinstance(record, dict) or "correct" not in record or "norm_rank" not in record:
-            raise InputError(f"record line {lineno} needs fields correct and norm_rank")
-        try:
-            outcome = RolloutOutcome(correct=record["correct"], norm_rank=record["norm_rank"])
-        except InputError as exc:  # keeps the class, and so the error code
-            raise type(exc)(f"record line {lineno}: {exc}") from None
-        print(json.dumps({
-            "correct": outcome.correct,
-            "norm_rank": outcome.norm_rank,
-            "reward": total_reward(outcome, args.alpha),
-        }))
+    for outcome in _records(args.records, _outcome, "record line"):
+        print(json.dumps({**dataclasses.asdict(outcome),
+                          "reward": total_reward(outcome, args.alpha)}))
     return 0
 
 
 def cmd_advantage(args) -> int:
-    for lineno, line in _numbered_lines(args.rewards):
-        try:
-            rewards = [float(cell) for cell in line.split(",")]
-        except ValueError:
-            raise InputError(f"unparseable reward on line {lineno}") from None
-        try:
-            advantages = group_advantages(rewards)
-        except InputError as exc:  # keeps the class, and so the error code
-            raise type(exc)(f"line {lineno}: {exc}") from None
+    rows = _records(args.rewards, lambda line: group_advantages(
+        [float(cell) for cell in line.split(",")]))
+    for advantages in rows:
         print(",".join(f"{a:.6f}" for a in advantages))
     return 0
 
 
 def cmd_passk(args) -> int:
-    counts = []
-    for lineno, line in _numbered_lines(args.counts):
-        try:
-            counts.append(int(line))
-        except ValueError:
-            raise InputError(f"unparseable count on line {lineno}: {line!r}") from None
+    counts = tuple(_records(args.counts, int))
     try:
         ks = [int(part) for part in args.ks.split(",") if part.strip()]
     except ValueError:
         raise InputError(f"unparseable k list: {args.ks!r}") from None
     if not ks:
         raise InputError("need at least one k")
-    curve = pass_curve(PassCounts(n=args.n, counts=tuple(counts)), ks)
+    curve = pass_curve(PassCounts(n=args.n, counts=counts), ks)
     for k in ks:
         print(f"{k},{curve[k]:.6f}")
     return 0

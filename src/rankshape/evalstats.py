@@ -20,7 +20,8 @@ from .errors import (
     SeparableDataError,
 )
 from .io import text_lines
-from .spectral import FINITE_CHUNK, INT64_MAX, _check_int, _check_real, _check_verdict
+from .spectral import (FINITE_CHUNK, INT64_MAX, _check_int, _check_real, _check_sequence,
+                       _check_verdict)
 
 DECOUPLING_CSV_HEADER = ("eff_rank", "entropy", "correct")
 
@@ -63,7 +64,8 @@ class PassCounts:
 
     def __post_init__(self):
         n = _check_int(self.n, "n", 1, INT64_MAX, error=RangeError)
-        counts = tuple(_check_int(c, "count", 0, n, error=RangeError) for c in self.counts)
+        counts = tuple(_check_int(c, "count", 0, n, error=RangeError)
+                       for c in _check_sequence(self.counts, "counts"))
         if not counts:
             raise InputError("need at least one problem")
         object.__setattr__(self, "counts", counts)
@@ -83,7 +85,7 @@ def pass_curve(pc: PassCounts, ks) -> dict[int, float]:
     product runs up to the largest k, at most FINITE_CHUNK floats of factors
     at a time, and each k's curve value is read off it.
     """
-    ks = [_check_int(k, "k", 1, pc.n, error=RangeError) for k in ks]
+    ks = [_check_int(k, "k", 1, pc.n, error=RangeError) for k in _check_sequence(ks, "ks")]
     wrong = pc.n - np.array(pc.counts)[:, None]
     todo = sorted(set(ks), reverse=True)
     curve = {}
@@ -146,7 +148,7 @@ def fit_decoupling_logit(samples) -> LogitFit:
     the near-null direction of nearly collinear features without
     classifying every sample, which is DegenerateDataError.
     """
-    samples = list(samples)
+    samples = list(_check_sequence(samples, "samples"))
     if len(samples) < 20:
         raise InputError(f"need at least 20 samples, got {len(samples)}")
     y = np.array([1.0 if s.correct else 0.0 for s in samples])

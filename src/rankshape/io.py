@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, FileFormatError, InputError
 from .rewards import DEFAULT_ALPHA
-from .spectral import _all_finite, validate_trajectory
+from .spectral import _all_finite, _check_sequence, validate_trajectory
 from .windows import DEFAULT_STRIDE, DEFAULT_WIDTH
 
 MAGIC = b"HSTB"
@@ -279,7 +279,7 @@ def load_run_config(path) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, assignments) -> RunConfig:
     """Apply command-line key=value overrides on top of a parsed config."""
-    for raw in assignments:
+    for raw in _check_sequence(assignments, "assignments", ConfigError):
         if "=" not in raw:
             raise ConfigError(f"override {raw!r}: expected key=value")
         key, _, value = raw.partition("=")

@@ -22,7 +22,6 @@ from .spectral import (
     _check_int,
     _finite_array,
     principal_subspace,
-    validate_trajectory,
 )
 
 DEFAULT_EPS = 1e-8
@@ -114,19 +113,3 @@ def select_probe(probes: ProbeSet, basis: ManifoldBasis) -> ProbeChoice:
     index = int(np.argmax(scores >= scores.max() - TIE_TOLERANCE))
     return ProbeChoice(index=index, label=f"probe{index}", omega=float(scores[index]))
 
-
-def plan_stitch(teacher_trace, prefix_length: int, lookahead_states, probes: ProbeSet,
-                energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
-                query_id: str | None = None) -> StitchPlan:
-    """Full ejection decision for one prefix of a teacher trace.
-
-    Builds the look-ahead manifold, scores the probes, and records the
-    winner (see StitchPlan.from_choice).
-    """
-    H = validate_trajectory(teacher_trace)
-    _check_int(prefix_length, "prefix_length", 1, H.shape[0])
-    basis = lookahead_manifold(lookahead_states, energy_threshold)
-    if basis.dim != H.shape[1]:
-        raise InputError(
-            f"look-ahead states have dimension {basis.dim}, teacher trace has {H.shape[1]}")
-    return StitchPlan.from_choice(select_probe(probes, basis), basis, prefix_length, query_id)

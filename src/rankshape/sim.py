@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import os
+from collections.abc import Sized
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from .io import RunConfig, text_lines
 # here, but perfbench/spans.py traces them under rankshape.sim, so the
 # names must keep resolving in this module.
 from .rewards import _advantages, _gated, check_alpha, group_advantages, total_reward  # noqa: F401
-from .spectral import _check_int, _check_real, _erank_stack, _finite_array, entropy_rows
+from .spectral import (_check_int, _check_real, _check_sequence, _erank_stack, _finite_array,
+                       entropy_rows)
 from .windows import _min_norm, _window_eranks, _window_plan, windowed_min_effrank  # noqa: F401
 
 # Null tokens put this fraction range of their norm in the complement and
@@ -303,20 +305,25 @@ def _check_policy(policy: PolicyParams, env: EnvSpec) -> None:
 def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     """Sample one rollout per seed and run the group's state recurrences together.
 
-    Each seed is a non-negative integer (Python or numpy) or a list or
-    tuple of them, or a SeedSequence whose entropy is one of those, with
-    the default pool size and no spawn key. Anything else, such as a
-    Generator, a negative or bool seed or a spawned SeedSequence, is an
-    InputError. Rollout i draws the horizon uniforms that
-    default_rng(seed i).random(horizon) would, so it does not depend on the
-    rest of the group. The uniforms come from rankshape's own
-    SeedSequence/PCG64 code (_uniforms), which a test pins to numpy's bits;
-    _sample maps them to tokens, states and verdicts.
+    ``seeds`` is a sequence or an iterator, not a bare scalar; an iterator
+    is read into a list. A group whose states would exceed the host's
+    physical memory is refused before any seed is checked. Each seed is a
+    non-negative integer (Python or numpy) or a list or tuple of them, or a
+    SeedSequence whose entropy is one of those, with the default pool size
+    and no spawn key. Anything else, such as a Generator, a negative or
+    bool seed or a spawned SeedSequence, is an InputError. Rollout i draws
+    the horizon uniforms that default_rng(seed i).random(horizon) would, so
+    it does not depend on the rest of the group. The uniforms come from
+    rankshape's own SeedSequence/PCG64 code (_uniforms), which a test pins
+    to numpy's bits; _sample maps them to tokens, states and verdicts.
 
     Returns (tokens, states, correct) with shapes (G, horizon),
     (G, horizon, d) and (G,).
     """
     _check_policy(policy, env)
+    seeds = _check_sequence(seeds, "seeds")
+    seeds = seeds if isinstance(seeds, Sized) else list(seeds)
+    _check_draws(len(seeds), env)
     words = [_seed_words(seed) for seed in seeds]
     if not words:
         raise InputError("cannot sample an empty group: no seeds given")
@@ -563,7 +570,7 @@ def temperature_sweep(policy: PolicyParams, env: EnvSpec, scales,
     should fall (within sampling noise) as the scale grows.
     """
     _check_int(seed, "seed", low=0)
-    scales = [_check_real(s, "scale", above=0) for s in scales]
+    scales = [_check_real(s, "scale", above=0) for s in _check_sequence(scales, "scales")]
     if not scales or any(b <= a for a, b in zip(scales, scales[1:])):
         raise InputError(f"scales must be one or more, strictly ascending, got {scales}")
     samples_per_scale = _check_int(samples_per_scale, "samples_per_scale", low=1, error=RangeError)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,15 @@ def _check_real(value, what: str, low=None, high=None, above=None, below=None,
     if not math.isfinite(number):
         raise InputError(f"{what} must be finite, got {number}")
     return _within(number, what, error, low=low, above=above, high=high, below=below)
+
+
+def _check_sequence(values, what: str, error=InputError):
+    """The one sequence rule: values as given, if they can be iterated. A
+    bare scalar where a sequence belongs, such as 3, 2.5, None or a 0-d
+    array, is ``error``."""
+    if not isinstance(values, Iterable) or getattr(values, "ndim", None) == 0:
+        raise error(f"{what} must be a sequence, got {values!r}")
+    return values
 
 
 def validate_trajectory(values) -> np.ndarray:

@@ -812,6 +812,33 @@ def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
         assert f"line {len(text.splitlines())}" in err
 
 
+@pytest.mark.parametrize("argv, text, error", [
+    (["reward"], '{"correct": 1, "norm_rank": 0.5}\n\n{oops\n',
+     "error [input]: record line 3: not valid JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    (["reward"], '[1, 2]\n', "error [input]: record line 1: needs fields correct and norm_rank"),
+    (["reward"], '{"correct": 1, "norm_rank": 1.5}\n',
+     "error [input]: record line 1: norm_rank must be >= 0 and <= 1, got 1.5"),
+    (["reward"], '{"correct": 1, "norm_rank": 1' + "0" * 5000 + '}\n',
+     "error [input]: record line 1: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    (["advantage"], "1,2\n 1,x\n", "error [input]: line 2: could not convert string to float: 'x'"),
+    (["advantage"], "1,2\n\n5\n",
+     "error [group_too_small]: line 3: rewards must have 2 or more entries on each axis, "
+     "got shape (1,)"),
+    (["passk", "--n", "4", "--ks", "1"], "3\n 2.0 \n",
+     "error [input]: line 2: invalid literal for int() with base 10: '2.0'"),
+], ids=["reward-json", "reward-fields", "reward-range", "reward-int-past-limit",
+        "advantage-float", "advantage-group", "passk-count"])
+def test_a_bad_line_is_named_by_the_one_line_error_rule(capsys, tmp_path, argv, text, error):
+    """reward, advantage and passk name the bad line and keep the error's
+    code; a value Python cannot parse is an input error in Python's words."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert (code, err) == (1, error + "\n")
+
+
 @pytest.mark.parametrize("argv, text, error_code, where", [
     (["reward"], '{"correct": 1.0, "norm_rank": 0.5}\n', "input", "record line 1: "),
     (["reward"], '{"correct": 0.0, "norm_rank": 0.5}\n', "input", "record line 1: "),

@@ -23,7 +23,7 @@ StitchPlan SweepResult TrajectoryTooShortError WindowRankProfile ZeroVarianceErr
 apply_overrides biased_init build_env covariance_spectrum effective_rank erank_or_floor
 erank_stack fit_decoupling_logit gated_rewards geometric_barrier_probe group_advantages
 load_decoupling_csv load_run_config lookahead_manifold norm_rank orthogonality_score
-parse_run_config pass_at_k pass_curve plan_stitch policy_gradient principal_subspace
+parse_run_config pass_at_k pass_curve policy_gradient principal_subspace
 read_trajectory read_trajectory_with_metadata rollout sample_group select_probe
 spectral_entropy stacked_min_effrank temperature_sweep total_reward train
 validate_trajectory weighted_log_prob window_starts windowed_min_effrank
@@ -166,7 +166,6 @@ KEEPING_TESTS = ("test_acceptance.py", "test_properties.py", "test_window_oracle
 NAMES_UNREAD_BUT_KEPT = {
     "gated_rewards": "train runs its core, rewards._gated",
     "geometric_barrier_probe": "SOE stage-1 geometry, which ROADMAP item 6 decides",
-    "plan_stitch": "SOE stage-1 geometry, which ROADMAP item 6 decides",
 }
 
 

@@ -13,11 +13,11 @@ from rankshape import (
     ZeroVarianceError,
     lookahead_manifold,
     orthogonality_score,
-    plan_stitch,
     principal_subspace,
     select_probe,
 )
 from rankshape.probes import LOW_OMEGA_THRESHOLD, TIE_TOLERANCE
+from rankshape.spectral import DEFAULT_ENERGY_THRESHOLD
 
 EPS = 1e-8
 
@@ -179,17 +179,23 @@ class TestLookaheadManifold:
 class TestPlanStitch:
     def setup_method(self):
         rng = np.random.default_rng(4)
-        self.trace = rng.normal(size=(20, 4))
+        rng.normal(size=(20, 4))  # skipped: the assertions were written for the states after it
         self.lookahead = np.zeros((30, 4))
         self.lookahead[:, :2] = rng.normal(size=(30, 2))
+
+    def plan(self, probes, prefix_length, energy_threshold=DEFAULT_ENERGY_THRESHOLD,
+             query_id=None):
+        """The stitch plan that soe-select builds: the look-ahead manifold,
+        the winning probe, and its record."""
+        basis = lookahead_manifold(self.lookahead, energy_threshold)
+        return StitchPlan.from_choice(select_probe(probes, basis), basis, prefix_length, query_id)
 
     def test_selects_escaping_probe(self):
         probes = ProbeSet(np.array([
             [1.0, 1.0, 0.0, 0.0],
             [0.0, 0.0, 1.0, 1.0],
         ]))
-        plan = plan_stitch(self.trace, 7, self.lookahead, probes,
-                           energy_threshold=0.999, query_id="q7")
+        plan = self.plan(probes, 7, energy_threshold=0.999, query_id="q7")
         assert plan.probe_label == "probe1"
         assert select_probe(probes, lookahead_manifold(self.lookahead, 0.999)).index == 1
         assert plan.omega > 0.9
@@ -202,23 +208,14 @@ class TestPlanStitch:
             [1.0, 0.0, 0.0, 0.0],
             [0.5, 0.5, 0.0, 0.0],
         ]))
-        plan = plan_stitch(self.trace, 3, self.lookahead, probes,
-                           energy_threshold=0.999)
+        plan = self.plan(probes, 3, energy_threshold=0.999)
         assert plan.warning is True
         assert plan.omega < 0.1
-
-    def test_prefix_bounds(self):
-        probes = ProbeSet(np.eye(4))
-        plan_stitch(self.trace, 1, self.lookahead, probes)
-        plan_stitch(self.trace, 20, self.lookahead, probes)
-        for bad in (0, 21, -3):
-            with pytest.raises(InputError):
-                plan_stitch(self.trace, bad, self.lookahead, probes)
 
     def test_probe_dimension_checked(self):
         probes = ProbeSet(np.eye(3))
         with pytest.raises(InputError):
-            plan_stitch(self.trace, 2, self.lookahead, probes)
+            select_probe(probes, lookahead_manifold(self.lookahead))
 
     def test_warning_below_threshold_only(self):
         basis = planar_basis()
@@ -230,7 +227,7 @@ class TestPlanStitch:
 
     def test_json_record_fields(self):
         probes = ProbeSet(np.eye(4))
-        plan = plan_stitch(self.trace, 5, self.lookahead, probes, query_id="qx")
+        plan = self.plan(probes, 5, query_id="qx")
         record = json.loads(json.dumps(asdict(plan)))
         assert set(record) == {"query_id", "prefix_length", "probe_label",
                                "omega", "basis_k", "warning"}

@@ -14,6 +14,9 @@ stores what it accepts as a Python bool.
 The stack table does it for the stack check of the two public functions
 that take a (..., T, d) stack of trajectories: each refuses what is not a
 finite real stack and scores what is, as it scores its float64 image.
+
+The sequence table does it for the six parameters that take a sequence of
+items: a bare scalar there is an InputError, not a raw TypeError.
 """
 
 import inspect
@@ -21,27 +24,32 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 import rankshape
 from rankshape import (
     DecouplingSample,
+    InputError,
     PassCounts,
     ProbeSet,
     RankshapeError,
     RolloutOutcome,
+    RunConfig,
     StitchPlan,
+    apply_overrides,
     biased_init,
     build_env,
     erank_stack,
+    fit_decoupling_logit,
     gated_rewards,
     geometric_barrier_probe,
     lookahead_manifold,
     pass_at_k,
     pass_curve,
-    plan_stitch,
     policy_gradient,
     principal_subspace,
     rollout,
+    sample_group,
     select_probe,
     stacked_min_effrank,
     temperature_sweep,
@@ -93,9 +101,6 @@ TABLE = {
     "pass_curve": (pass_curve, dict(pc=PassCounts(4, (1,)), ks=[2]), ["ks"]),
     "principal_subspace": (principal_subspace, dict(H=H), ["energy_threshold"]),
     "lookahead_manifold": (lookahead_manifold, dict(samples=H), ["energy_threshold"]),
-    "plan_stitch": (plan_stitch, dict(teacher_trace=H, prefix_length=3, lookahead_states=H,
-                                      probes=PROBES),
-                    ["prefix_length", "energy_threshold"]),
     "StitchPlan.from_choice": (StitchPlan.from_choice,
                                dict(choice=select_probe(PROBES, BASIS), basis=BASIS,
                                     prefix_length=3),
@@ -302,3 +307,23 @@ def test_every_stack_is_refused_or_scored_as_its_float64_image():
     print(f"STACKS {calls} calls: {tally['refused']} refused, {tally['scored']} scored, "
           f"{calls - sum(tally.values())} raw escapes")
     assert not wrong, "\n".join(wrong)
+
+
+# name: a call that takes one sequence.
+SEQUENCE_TABLE = {
+    "pass_curve(ks)": lambda v: pass_curve(PassCounts(4, (1,)), v),
+    "PassCounts(counts)": lambda v: PassCounts(4, v),
+    "sample_group(seeds)": lambda v: sample_group(POLICY, ENV, v),
+    "temperature_sweep(scales)": lambda v: temperature_sweep(POLICY, ENV, v, 2),
+    "fit_decoupling_logit(samples)": fit_decoupling_logit,
+    "apply_overrides(assignments)": lambda v: apply_overrides(RunConfig(), v),
+}
+
+
+@pytest.mark.parametrize("value", [3, 2.5, np.array(3), None], ids=["int", "float", "0-d", "None"])
+@pytest.mark.parametrize("name", sorted(SEQUENCE_TABLE))
+def test_a_bare_scalar_where_a_sequence_belongs_is_an_input_error(name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="must be a sequence, got "):
+            SEQUENCE_TABLE[name](value)

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -578,6 +579,21 @@ DRAW_ENTRY_POINTS = {
 def test_draws_beyond_physical_memory_refused(entry):
     with pytest.raises(InputError, match="^1000000000000 draws of horizon 32 and dimension 16"):
         DRAW_ENTRY_POINTS[entry](build_env(0), 10**12)
+
+
+@pytest.mark.parametrize("seeds", [
+    range(1000),
+    iter(range(1000)),
+    [0] * 999 + [-1],  # refused for its size before its last seed is checked
+], ids=["range", "iterator", "list"])
+def test_sample_group_refuses_a_group_the_host_cannot_hold(seeds, monkeypatch):
+    env = build_env(0)
+    policy = biased_init(env)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    with pytest.raises(InputError, match=r"^1000 draws of horizon 32 and dimension 16 need "
+                                         r"0\.00381 GiB of states, more than this host's "
+                                         r"0\.000977 GiB"):
+        sample_group(policy, env, seeds)
 
 
 # Each Monte Carlo estimate, with the entropy of its samples' seeds in order.

@@ -17,7 +17,6 @@ from rankshape import (
     erank_stack,
     group_advantages,
     lookahead_manifold,
-    plan_stitch,
     principal_subspace,
     spectral_entropy,
     validate_trajectory,
@@ -32,7 +31,6 @@ TRAJECTORY_TAKERS = {
     "windowed_min_effrank": windowed_min_effrank,
     "principal_subspace": principal_subspace,
     "lookahead_manifold": lookahead_manifold,
-    "plan_stitch": lambda H: plan_stitch(H, 1, np.eye(3), ProbeSet(np.eye(3))),
     "write_trajectory": lambda H: write_trajectory("never-written.hstb", H),
 }
 
