@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 from .errors import InputError, RankshapeError
-from .evalstats import PassCounts, fit_decoupling_logit, load_decoupling_csv, pass_curve
+from .evalstats import (PassCounts, _check_count, _check_n, fit_decoupling_logit,
+                        load_decoupling_csv, pass_curve)
 from .io import (_file_errors, _read_stored, apply_overrides, load_run_config, read_trajectory,
                  text_lines)
 from .probes import ProbeSet, StitchPlan, lookahead_manifold, select_probe
@@ -103,8 +104,9 @@ def build_parser() -> _Parser:
 
 def cmd_effrank(args) -> int:
     for name in args.files:
-        # The payload goes in as a temporary, so it is freed once widened.
-        value = effective_rank(Spectrum(_centered_eigh(_read_stored(name)[0])[2]))
+        # The payload goes in as a temporary, so it is freed once its last
+        # chunk is widened.
+        value = effective_rank(Spectrum(_centered_eigh(_read_stored(name)[0])[1]))
         print(json.dumps({"file": name, "effective_rank": value}))
     return 0
 
@@ -169,7 +171,8 @@ def cmd_advantage(args) -> int:
 
 
 def cmd_passk(args) -> int:
-    counts = tuple(_records(args.counts, int))
+    n = _check_n(args.n)
+    counts = tuple(_records(args.counts, lambda line: _check_count(int(line), n)))
     try:
         ks = [int(part) for part in args.ks.split(",") if part.strip()]
     except ValueError:

@@ -55,6 +55,16 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     return pass_curve(PassCounts(n=n, counts=(c,)), [k])[k]
 
 
+def _check_n(n) -> int:
+    """The sample-count rule of PassCounts: n as an int in [1, INT64_MAX]."""
+    return _check_int(n, "n", 1, INT64_MAX, error=RangeError)
+
+
+def _check_count(count, n: int) -> int:
+    """The correct-count rule of PassCounts: count as an int in [0, n]."""
+    return _check_int(count, "count", 0, n, error=RangeError)
+
+
 @dataclass(frozen=True)
 class PassCounts:
     """Per-problem correct counts out of n samples each."""
@@ -63,9 +73,8 @@ class PassCounts:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        n = _check_int(self.n, "n", 1, INT64_MAX, error=RangeError)
-        counts = tuple(_check_int(c, "count", 0, n, error=RangeError)
-                       for c in _check_sequence(self.counts, "counts"))
+        n = _check_n(self.n)
+        counts = tuple(_check_count(c, n) for c in _check_sequence(self.counts, "counts"))
         if not counts:
             raise InputError("need at least one problem")
         object.__setattr__(self, "counts", counts)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 from collections.abc import Sized
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,11 +180,13 @@ class Rollout:
     correct: bool
 
 
-def _check_draws(draws: int, env: EnvSpec) -> None:
+def _check_draws(draws: int, env: EnvSpec, at_least: bool = False) -> None:
     """Refuse a group of draws whose float64 states alone exceed the host's
-    physical memory, before anything is drawn."""
+    physical memory, before anything is drawn. ``at_least`` marks draws as
+    a lower bound, for a group too long for len."""
     _check_memory(draws * env.horizon * env.d,
-                  f"{draws} draws of horizon {env.horizon} and dimension {env.d} need", "of states")
+                  f"{'at least ' * at_least}{draws} draws of horizon {env.horizon} and "
+                  f"dimension {env.d} need", "of states")
 
 
 def _entropy_words(entropy) -> list[int]:
@@ -323,7 +326,11 @@ def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     _check_policy(policy, env)
     seeds = _check_sequence(seeds, "seeds")
     seeds = seeds if isinstance(seeds, Sized) else list(seeds)
-    _check_draws(len(seeds), env)
+    try:
+        draws, at_least = len(seeds), False
+    except OverflowError:  # a sized group past sys.maxsize, such as a long range
+        draws, at_least = sys.maxsize + 1, True
+    _check_draws(draws, env, at_least)
     words = [_seed_words(seed) for seed in seeds]
     if not words:
         raise InputError("cannot sample an empty group: no seeds given")

@@ -33,6 +33,12 @@ DEFAULT_ENERGY_THRESHOLD = 0.9
 # so checking a payload read from a file does not add a mask of its size.
 FINITE_CHUNK = 2**16
 
+# _centered_eigh widens and centres a trajectory this many floats (8 MiB)
+# at a time, and adds its products into M through a temporary of as many,
+# so scoring a payload read from a file adds no float64 copy of its size.
+# Much smaller chunks add passes over M and shrink BLAS's inner dimension.
+GRAM_FLOATS = 2**20
+
 
 def _all_finite(A: np.ndarray) -> bool:
     """np.isfinite(A).all() for an array of one or more axes, checked in
@@ -44,13 +50,13 @@ def _all_finite(A: np.ndarray) -> bool:
 
 def _real_floats(values, what: str, kind: str) -> np.ndarray:
     """values as a float64 array of real numbers: complex numbers, strings,
-    ragged rows and ints past the float range are an InputError, naming
-    ``what`` a numeric ``kind``."""
+    bools (as the scalar rule refuses them), ragged rows and ints past the
+    float range are an InputError, naming ``what`` a numeric ``kind``."""
     try:
         A = np.asarray(values)
         if np.iscomplexobj(A):
             raise InputError(f"{what} must be real, got complex numbers")
-        if A.dtype.kind not in "biufO":
+        if A.dtype.kind not in "iufO":
             raise TypeError(f"got {A.dtype} entries")
         return A.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -216,36 +222,63 @@ def _cleanup(vals: np.ndarray) -> np.ndarray:
 
 def _centered_eigh(H: np.ndarray, method: str = "auto", vectors: bool = False):
     """Centre each (T, d) trajectory of H, a (..., T, d) float32 or float64
-    stack, and eigendecompose its "covariance", "gram" or smaller ("auto")
-    matrix.
+    stack, and eigendecompose its "covariance" Y^T Y / T, its "gram" Y Y^T
+    / T or the smaller of the two ("auto"), M, where Y is its centred rows.
+    Returns (mean, vals, vecs): per trajectory, the mean row, the min(T, d)
+    cleaned eigenvalues, descending, and their eigenvectors as columns
+    (None without ``vectors``).
 
     H is not validated here: it comes from validate_trajectory, from the
     CLI's reader (io._read_stored, which checks it) or from the simulator,
-    which builds finite states. It is widened once into a float64 copy that
-    is centred in place; the widening is exact, so float32 input gives the
-    spectrum of its float64 image. Returns (centered, mean, vals, vecs):
-    per trajectory, the min(T, d) cleaned eigenvalues, descending, and their
-    eigenvectors as columns. Without ``vectors``, centered and vecs are
-    None, so the copy is freed before the eigensolve.
+    which builds finite states. The mean is summed in float64 from the
+    stored rows. Without ``vectors``, H is then widened and centred a chunk
+    of features at a time, columns for the Gram and rows for the
+    covariance, into one reused float64 buffer; each chunk's product goes
+    into M's lower triangle, all that eigvalsh reads, a block of M's rows at
+    a time through one reused temporary. Buffer and temporary hold at most
+    GRAM_FLOATS floats each (one feature, or one row of M, when that holds
+    more), and this frame drops H, which the CLI passes as a temporary, as
+    soon as its last chunk is widened. A stack of at most GRAM_FLOATS
+    values, or any stack with ``vectors``, is one chunk and one block: the
+    product of the whole centred copy, in full. The widening is exact, so
+    float32 input gives the spectrum of its float64 image.
     """
     if method not in ("auto", "gram", "covariance"):
         raise InputError(f"unknown spectrum method {method!r}")
-    centered = H.astype(np.float64)
-    # Drop this frame's reference: a payload passed as a temporary (the CLI
-    # passes the reader's result) is then freed before the product.
-    del H
-    mean = centered.mean(axis=-2)
-    centered -= mean[..., None, :]
-    T, d = centered.shape[-2:]
-    if method == "auto":
-        method = "gram" if T < d else "covariance"
-    centered_t = np.swapaxes(centered, -1, -2)
-    M = centered @ centered_t if method == "gram" else centered_t @ centered
+    T, d = H.shape[-2:]
+    gram = T < d if method == "auto" else method == "gram"
+    n, features = (T, d) if gram else (d, T)
+    lead = H.shape[:-2]
+    stack = math.prod(lead)
+    mean = np.add.reduce(H, axis=-2, dtype=np.float64)
+    mean /= T
+    step = features if vectors else max(1, GRAM_FLOATS // max(1, stack * n))
+    buf = np.empty(stack * n * min(step, features))
+    tmp = np.empty(stack * min(step, n) * n) if step < features else None
+    for c0 in range(0, features, step):
+        c1 = min(features, c0 + step)
+        rows, cols = (slice(None), slice(c0, c1)) if gram else (slice(c0, c1), slice(None))
+        shape = lead + ((T, c1 - c0) if gram else (c1 - c0, d))
+        Y = np.subtract(H[..., rows, cols], mean[..., None, cols],
+                        out=buf[:stack * n * (c1 - c0)].reshape(shape))
+        if c1 == features:
+            del H
+        if c0 == 0:  # made once the payload is freed, if this is its only chunk
+            M = np.zeros(lead + (n, n))
+        X = Y if gram else Y.swapaxes(-1, -2)
+        for r0 in range(0, n, step):
+            r1 = min(n, r0 + step)
+            out = (M[..., r0:r1, :r1] if c0 == 0 else
+                   tmp[:stack * (r1 - r0) * r1].reshape(lead + (r1 - r0, r1)))
+            D = X[..., r0:r1, :]  # the diagonal block D D^T can run as syrk
+            if r0 > 0:
+                np.matmul(D, X[..., :r0, :].swapaxes(-1, -2), out=out[..., :r0])
+            np.matmul(D, D.swapaxes(-1, -2), out=out[..., r0:])
+            if c0 > 0:
+                M[..., r0:r1, :r1] += out
+    del buf, tmp, Y, X, D, out
     M /= T
-    del centered_t
-    if not vectors:
-        centered = None
-    return (centered, mean) + _top_eigen(M, min(T, d), vectors)
+    return (mean,) + _top_eigen(M, min(T, d), vectors)
 
 
 def _top_eigen(M: np.ndarray, m: int, vectors: bool = False):
@@ -267,7 +300,7 @@ def covariance_spectrum(H, method: str = "auto") -> Spectrum:
     (see _centered_eigh). A trajectory with a single row has zero centered
     variance and yields the zero spectrum.
     """
-    return Spectrum(_centered_eigh(validate_trajectory(H), method)[2])
+    return Spectrum(_centered_eigh(validate_trajectory(H), method)[1])
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -314,7 +347,7 @@ def _erank_stack(H: np.ndarray) -> np.ndarray:
     """erank_stack of a (..., T, d) float32 or float64 stack trusted to be
     finite: the simulator builds it, and the windows that _own_eranks passes
     come from a trajectory checked by validate_trajectory or by the reader."""
-    return _erank_rows(_centered_eigh(H)[2])
+    return _erank_rows(_centered_eigh(H)[1])
 
 
 @dataclass(frozen=True)
@@ -346,11 +379,12 @@ def principal_subspace(H, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD) ->
 
     Energy is cumulative eigenvalue mass over total mass. The returned
     directions are orthonormal columns; on the Gram path (T < d) they are
-    recovered as centered^T u / sqrt(T lambda).
+    recovered from the centred rows as (H - mean)^T u / sqrt(T lambda).
     """
     energy_threshold = _check_real(energy_threshold, "energy_threshold", above=0, high=1)
-    centered, mean, vals, vecs = _centered_eigh(validate_trajectory(H), vectors=True)
-    T, d = centered.shape
+    H = validate_trajectory(H)
+    mean, vals, vecs = _centered_eigh(H, vectors=True)
+    T, d = H.shape
     if T < 2:
         raise InputError("principal subspace needs at least 2 rows")
     total = float(vals.sum())
@@ -358,7 +392,7 @@ def principal_subspace(H, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD) ->
         raise ZeroVarianceError("zero-variance trajectory: all rows identical")
     k = _count_for_energy(vals, total, energy_threshold)
     if T < d:
-        directions = centered.T @ vecs[:, :k] / np.sqrt(T * vals[:k])
+        directions = (H - mean).T @ vecs[:, :k] / np.sqrt(T * vals[:k])
     else:
         directions = vecs[:, :k]
     return ManifoldBasis(mean=mean, directions=directions)

@@ -227,6 +227,15 @@ class TestPassk:
         code, _, _ = run_cli(capsys, "passk", "--n", "4", "--ks", "2", str(path))
         assert code == 1
 
+    def test_n_is_checked_before_the_counts(self, capsys, tmp_path):
+        """--n is not a line of the counts file: its error has no line label,
+        and it comes before any count is read."""
+        path = tmp_path / "counts.csv"
+        path.write_text("3\n9\n")
+        code, _, err = run_cli(capsys, "passk", "--n", "0", "--ks", "1", str(path))
+        assert (code, err) == (1, "error [range]: n must be >= 1 and <= 9223372036854775807, "
+                                  "got 0\n")
+
 
 class TestFitDecouple:
     def test_fit_json(self, capsys, tmp_path):
@@ -828,8 +837,10 @@ def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
      "got shape (1,)"),
     (["passk", "--n", "4", "--ks", "1"], "3\n 2.0 \n",
      "error [input]: line 2: invalid literal for int() with base 10: '2.0'"),
+    (["passk", "--n", "4", "--ks", "1"], "3\n9\n",
+     "error [range]: line 2: count must be >= 0 and <= 4, got 9"),
 ], ids=["reward-json", "reward-fields", "reward-range", "reward-int-past-limit",
-        "advantage-float", "advantage-group", "passk-count"])
+        "advantage-float", "advantage-group", "passk-count", "passk-count-range"])
 def test_a_bad_line_is_named_by_the_one_line_error_rule(capsys, tmp_path, argv, text, error):
     """reward, advantage and passk name the bad line and keep the error's
     code; a value Python cannot parse is an input error in Python's words."""

@@ -19,6 +19,7 @@ from rankshape import (
     read_trajectory_with_metadata,
     write_trajectory,
 )
+from rankshape import spectral
 from rankshape.cli import main
 from rankshape.io import MAGIC, VERSION, _read_stored, load_run_config
 from rankshape.spectral import FINITE_CHUNK
@@ -210,7 +211,8 @@ def test_hstb_write_holds_one_copy_of_its_payload(tmp_path):
 def test_cli_scores_hstb_without_a_whole_float64_copy(tmp_path, capsys, command, bound):
     """window-rank keeps the float32 payload and widens one block at a time
     (peak 1.8x the payload here, 3.1x when the whole file was widened).
-    effrank's one float64 copy replaces the payload, which goes to the eigen
+    effrank's 1024 x 1024 payload is GRAM_FLOATS values, so it is one chunk:
+    its centred float64 copy replaces the payload, which goes to the eigen
     core as a temporary, before the 1024 x 1024 covariance is formed (peak
     4.0x, 6.0x with the payload, a widened and a centred copy all alive)."""
     path = tmp_path / "big.hstb"
@@ -224,7 +226,38 @@ def test_cli_scores_hstb_without_a_whole_float64_copy(tmp_path, capsys, command,
         tracemalloc.stop()
     assert code == 0
     assert capsys.readouterr().err == ""
+    print(f"BUDGET test_cli_scores_hstb_without_a_whole_float64_copy[{command}] {peak} "
+          f"{bound * payload_bytes:.0f}")
     assert peak <= bound * payload_bytes
+
+
+@pytest.mark.parametrize("T, d", [(256, 1024), (1024, 256)], ids=["gram", "covariance"])
+def test_cli_effrank_holds_the_payload_the_matrix_and_two_chunk_buffers(tmp_path, capsys,
+                                                                        monkeypatch, T, d):
+    """With GRAM_FLOATS cut to 2**14, effrank widens a T x d payload 64
+    features at a time: it holds the float32 payload (4 T d bytes), the
+    min(T, d)^2 float64 matrix and two buffers of GRAM_FLOATS floats, the
+    centred chunk and the temporary of a block's product, and frees the
+    payload before the eigensolve. A float64 copy of the whole payload
+    would add 8 T d bytes. The constant, 256 KiB, covers the buffers of
+    8192 values that numpy's ufuncs take for strided operands, the mean
+    and the eigenvalues."""
+    monkeypatch.setattr(spectral, "GRAM_FLOATS", 2**14)
+    path = tmp_path / "big.hstb"
+    write_trajectory(path, f32(np.random.default_rng(0).normal(size=(T, d))))
+    n = min(T, d)
+    tracemalloc.start()
+    try:
+        code = main(["effrank", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    bound = 4 * T * d + 8 * n * n + 2 * 8 * spectral.GRAM_FLOATS + 2**18
+    print(f"BUDGET test_cli_effrank_holds_the_payload_the_matrix_and_two_chunk_buffers[{T}x{d}] "
+          f"{peak} {bound}")
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("name", ["traj.hstb", "traj.csv"])

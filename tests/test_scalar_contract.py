@@ -258,6 +258,7 @@ REFUSED_STACKS = {
     "inf in a list": [[[1.0, 2.0], [math.inf, 4.0]]],
     "int past the float range": [[[10**400, 2], [3, 4]]],
     "complex": np.ones((2, 3, 2)) * (1 + 1j),
+    "bools": np.ones((2, 3, 2), dtype=bool),
     "ragged": [[[1.0, 2.0], [3.0]]],
     "None entry": [[[1.0, None], [3.0, 4.0]]],
     "None": None,

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -594,6 +595,23 @@ def test_sample_group_refuses_a_group_the_host_cannot_hold(seeds, monkeypatch):
                                          r"0\.00381 GiB of states, more than this host's "
                                          r"0\.000977 GiB"):
         sample_group(policy, env, seeds)
+
+
+def test_sample_group_refuses_a_range_too_long_for_len(monkeypatch):
+    """len of a range past sys.maxsize raises OverflowError; the memory rule
+    refuses the group as at least sys.maxsize + 1 draws, before any seed is
+    read."""
+    env = build_env(0)
+    policy = biased_init(env)
+
+    def no_draw(seed):
+        raise AssertionError("a seed was read")
+
+    monkeypatch.setattr(sim, "_seed_words", no_draw)
+    with pytest.raises(InputError, match=rf"^at least {sys.maxsize + 1} draws of horizon 32 "
+                                         r"and dimension 16 need .* GiB of states, more than "
+                                         r"this host's"):
+        sample_group(policy, env, range(2**64))
 
 
 # Each Monte Carlo estimate, with the entropy of its samples' seeds in order.

@@ -23,6 +23,7 @@ from rankshape import (
     windowed_min_effrank,
     write_trajectory,
 )
+from rankshape import spectral
 
 # Every public function that takes a trajectory from a library caller.
 TRAJECTORY_TAKERS = {
@@ -56,6 +57,7 @@ BAD_ARRAYS = {
     "int-past-float": ([2.0, 10**400], [[1.0, 2.0], [3.0, 10**400]]),
     "wrong-axes": ([[2.0, 1.0]], [1.0, 2.0]),
     "empty": ([], np.zeros((0, 2))),
+    "bool": ([True, False], [[True, False], [False, True]]),
 }
 
 
@@ -197,6 +199,88 @@ class TestCovarianceSpectrum:
         # lengths differ (min(T, d) grows); the extra entries must be zero
         npt.assert_allclose(a, b[: a.size], rtol=1e-10, atol=1e-12)
         npt.assert_allclose(b[a.size:], 0.0, atol=1e-12)
+
+
+# (shape, method): the Gram path (T < d) and the covariance path (T >= d),
+# for one trajectory and for a stack, and each path forced on the other shape.
+CHUNK_CASES = [((40, 300), "auto"), ((3, 40, 300), "auto"), ((300, 40), "auto"),
+               ((2, 300, 40), "auto"), ((60, 20), "gram"), ((20, 60), "covariance")]
+
+
+def built_product(monkeypatch, H, method, floats=spectral.GRAM_FLOATS):
+    """(M, mean, vals): the matrix that _centered_eigh hands its eigensolver
+    with GRAM_FLOATS set to ``floats``, and the mean and spectrum it returns."""
+    seen = []
+    top = spectral._top_eigen
+
+    def spy(M, m, vectors=False):
+        seen.append(M.copy())
+        return top(M, m, vectors)
+
+    monkeypatch.setattr(spectral, "_top_eigen", spy)
+    monkeypatch.setattr(spectral, "GRAM_FLOATS", floats)
+    mean, vals, _ = spectral._centered_eigh(H, method)
+    return seen[0], mean, vals
+
+
+def llm_like(shape, seed=0):
+    """Rows on a large offset, as LLM hidden states sit, so that centring matters."""
+    return 300.0 + np.random.default_rng(seed).normal(size=shape)
+
+
+def is_gram(shape, method):
+    return shape[-2] < shape[-1] if method == "auto" else method == "gram"
+
+
+def chunk_floats(shape, method, features):
+    """The GRAM_FLOATS that cuts a stack of ``shape`` into chunks of
+    ``features`` features: columns of T values on the Gram path, rows of d
+    values on the covariance path, for each trajectory of the stack."""
+    return features * int(np.prod(shape[:-2])) * shape[-2 if is_gram(shape, method) else -1]
+
+
+class TestChunkedProduct:
+    @pytest.mark.parametrize("features", [1, 7])
+    @pytest.mark.parametrize("shape, method", CHUNK_CASES)
+    def test_chunked_lower_triangle_matches_the_one_chunk_product(self, monkeypatch, shape,
+                                                                   method, features):
+        """Chunks of 7 features, or of one, leave ragged last chunks and row
+        blocks; the lower triangle, all that eigvalsh reads, is the one-chunk
+        product's to 1e-13 of its largest entry."""
+        H = llm_like(shape)
+        whole, mean, vals = built_product(monkeypatch, H, method)
+        M, chunked_mean, chunked_vals = built_product(monkeypatch, H, method,
+                                                      chunk_floats(shape, method, features))
+        npt.assert_array_equal(chunked_mean, mean)
+        assert np.abs(np.tril(M) - np.tril(whole)).max() <= 1e-13 * np.abs(whole).max()
+        npt.assert_allclose(chunked_vals, vals, rtol=0, atol=1e-12 * vals.max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, method", CHUNK_CASES)
+    def test_one_chunk_is_the_product_of_the_whole_centred_copy(self, monkeypatch, shape,
+                                                                method, dtype):
+        """A stack of at most GRAM_FLOATS values is one chunk and one block:
+        bit for bit the full product of its whole centred float64 copy."""
+        H = llm_like(shape).astype(dtype)
+        M, mean, _ = built_product(monkeypatch, H, method)
+        Y = H.astype(np.float64)
+        Y -= Y.mean(axis=-2)[..., None, :]
+        Yt = np.swapaxes(Y, -1, -2)
+        npt.assert_array_equal(mean, H.astype(np.float64).mean(axis=-2))
+        npt.assert_array_equal(M, (Y @ Yt if is_gram(shape, method) else Yt @ Y) / shape[-2])
+
+    @pytest.mark.parametrize("features", [1, 7, None])
+    @pytest.mark.parametrize("shape, method", CHUNK_CASES)
+    def test_float32_scores_as_its_float64_image(self, monkeypatch, shape, method, features):
+        """Each chunk is widened exactly and the mean is summed in float64, so
+        a float32 stack gives the M, mean and spectrum of its float64 image,
+        byte for byte, chunked or not (None: one chunk)."""
+        H = llm_like(shape).astype(np.float32)
+        floats = spectral.GRAM_FLOATS if features is None else chunk_floats(shape, method,
+                                                                             features)
+        for got, image in zip(built_product(monkeypatch, H, method, floats),
+                              built_product(monkeypatch, H.astype(np.float64), method, floats)):
+            npt.assert_array_equal(got, image)
 
 
 class TestEntropyAndRank:
