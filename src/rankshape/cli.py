@@ -19,8 +19,8 @@ from pathlib import Path
 from .errors import InputError, RankshapeError
 from .evalstats import (PassCounts, _check_count, _check_n, fit_decoupling_logit,
                         load_decoupling_csv, pass_curve)
-from .io import (_file_errors, _read_stored, apply_overrides, load_run_config, read_trajectory,
-                 text_lines)
+from .io import (_file_errors, _read_stored, _records, apply_overrides, load_run_config,
+                 read_trajectory, text_lines)
 from .probes import ProbeSet, StitchPlan, lookahead_manifold, select_probe
 from .rewards import DEFAULT_ALPHA, RolloutOutcome, check_alpha, group_advantages, total_reward
 from .sim import SimTrace, biased_init, build_env, train
@@ -126,23 +126,6 @@ def cmd_window_rank(args) -> int:
     return 0
 
 
-def _records(path, parse, where="line"):
-    """parse(line) for each non-blank, stripped line of a text file, read
-    whole first, so a missing or non-UTF-8 file fails before any record.
-    The one line-error rule: an InputError from parse keeps its class, and
-    so its code, and a ValueError becomes an InputError; either way the
-    message reads "<where> <n>: <reason>"."""
-    for n, line in [(n, s.strip()) for n, s in enumerate(text_lines(path), 1) if s.strip()]:
-        try:
-            record = parse(line)
-        except InputError as exc:
-            exc.args = (f"{where} {n}: {exc}",)
-            raise
-        except ValueError as exc:
-            raise InputError(f"{where} {n}: {exc}") from None
-        yield record  # outside the try: the caller's errors get no line label
-
-
 def _outcome(line: str) -> RolloutOutcome:
     """One JSONL record with fields correct and norm_rank."""
     try:
@@ -156,14 +139,14 @@ def _outcome(line: str) -> RolloutOutcome:
 
 def cmd_reward(args) -> int:
     check_alpha(args.alpha)
-    for outcome in _records(args.records, _outcome, "record line"):
+    for outcome in _records(text_lines(args.records), _outcome, "record line"):
         print(json.dumps({**dataclasses.asdict(outcome),
                           "reward": total_reward(outcome, args.alpha)}))
     return 0
 
 
 def cmd_advantage(args) -> int:
-    rows = _records(args.rewards, lambda line: group_advantages(
+    rows = _records(text_lines(args.rewards), lambda line: group_advantages(
         [float(cell) for cell in line.split(",")]))
     for advantages in rows:
         print(",".join(f"{a:.6f}" for a in advantages))
@@ -172,7 +155,7 @@ def cmd_advantage(args) -> int:
 
 def cmd_passk(args) -> int:
     n = _check_n(args.n)
-    counts = tuple(_records(args.counts, lambda line: _check_count(int(line), n)))
+    counts = tuple(_records(text_lines(args.counts), lambda line: _check_count(int(line), n)))
     try:
         ks = [int(part) for part in args.ks.split(",") if part.strip()]
     except ValueError:

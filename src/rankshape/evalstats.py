@@ -19,7 +19,7 @@ from .errors import (
     RangeError,
     SeparableDataError,
 )
-from .io import text_lines
+from .io import _records, text_lines
 from .spectral import (FINITE_CHUNK, INT64_MAX, _check_int, _check_real, _check_sequence,
                        _check_verdict)
 
@@ -225,32 +225,34 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 
 def load_decoupling_csv(path) -> list[DecouplingSample]:
     """Read ``eff_rank,entropy,correct`` rows; correct must be 0 or 1, as
-    DecouplingSample checks."""
-    reader = csv.reader(text_lines(path))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FileFormatError("bad_header", "empty samples file") from None
+    DecouplingSample checks. The header is checked first; each later line is
+    one CSV row, named "row <n>" by the one line-error rule (io._records)."""
+    lines = text_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise FileFormatError("bad_header", "empty samples file")
+    header = _csv_row(first, "bad_header")
     if tuple(h.strip() for h in header) != DECOUPLING_CSV_HEADER:
-        raise FileFormatError(
-            "bad_header",
-            f"expected header {','.join(DECOUPLING_CSV_HEADER)}, got {','.join(header)}")
-    samples = []
-    for row_number, row in enumerate(reader, 2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise FileFormatError(
-                "dimension_mismatch", f"row {row_number} has {len(row)} fields, expected 3")
-        try:
-            eff_rank = float(row[0])
-            entropy = float(row[1])
-            flag = int(row[2])
-        except ValueError:
-            raise FileFormatError(
-                "bad_value", f"unparseable value at row {row_number}") from None
-        try:
-            samples.append(DecouplingSample(eff_rank, entropy, flag))
-        except InputError as exc:
-            raise FileFormatError("bad_value", f"row {row_number}: {exc}") from None
-    return samples
+        raise FileFormatError("bad_header", f"expected header {','.join(DECOUPLING_CSV_HEADER)}, "
+                                            f"got {','.join(header)}")
+    return list(_records(lines, _sample, where="row", first=2))
+
+
+def _sample(line: str) -> DecouplingSample:
+    """One samples-file row: three fields that DecouplingSample accepts."""
+    row = _csv_row(line, "bad_value")
+    if len(row) != 3:
+        raise FileFormatError("dimension_mismatch", f"has {len(row)} fields, expected 3")
+    try:
+        return DecouplingSample(float(row[0]), float(row[1]), int(row[2]))
+    except (ValueError, InputError) as exc:
+        raise FileFormatError("bad_value", str(exc)) from None
+
+
+def _csv_row(line: str, code: str) -> list[str]:
+    """The fields of one CSV line; a field past the csv module's size limit
+    is a FileFormatError with ``code``."""
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise FileFormatError(code, str(exc)) from None

@@ -149,6 +149,23 @@ def text_lines(path):
             raise InputError(f"not UTF-8 text: {path}: {exc.reason}") from None
 
 
+def _records(lines, parse, where: str = "line", first: int = 1):
+    """parse(line) for each non-blank, stripped line, numbered from
+    ``first``. The lines are read whole first, so a missing or non-UTF-8
+    file fails before any record. The one line-error rule: an InputError
+    from parse keeps its class, and so its code, and a ValueError becomes an
+    InputError; either way the message reads "<where> <n>: <reason>"."""
+    for n, line in [(n, s.strip()) for n, s in enumerate(lines, first) if s.strip()]:
+        try:
+            record = parse(line)
+        except InputError as exc:
+            exc.args = (f"{where} {n}: {exc}",)
+            raise
+        except ValueError as exc:
+            raise InputError(f"{where} {n}: {exc}") from None
+        yield record  # outside the try: the caller's errors get no line label
+
+
 def _read_csv(path: Path) -> np.ndarray:
     """Parse with numpy's C reader. If it refuses the file, or the file is
     empty or holds a non-finite value, the per-cell reader reads it again:
@@ -239,38 +256,34 @@ class RunConfig:
 _CONFIG_TYPES: dict[str, type] = typing.get_type_hints(RunConfig)
 
 
-def _parse_config_value(key: str, text: str, typ: type):
-    text = text.strip()
-    try:
-        return typ(text)
-    except ValueError:
-        raise ConfigError(f"key {key}: expected {typ.__name__}, got {text!r}") from None
-
-
-def _set_config_key(cfg: RunConfig, key: str, value: str, where: str) -> None:
+def _config_item(assignment: str) -> tuple[str, object]:
+    """One ``key = value`` assignment as its key and typed value; its errors
+    name no line."""
+    # str.partition, so that an override that is not a string is a TypeError,
+    # as any wrong object type is.
+    key, eq, value = str.partition(assignment, "=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"expected key = value, got {assignment.strip()!r}")
     if key not in _CONFIG_TYPES:
         accepted = ", ".join(sorted(_CONFIG_TYPES))
-        raise ConfigError(f"{where}: unknown key {key!r}; accepted keys: {accepted}")
+        raise ConfigError(f"unknown key {key!r}; accepted keys: {accepted}")
     if "#" in value:
         # A config file cuts each line at "#", so it could not restate this
         # value, and a run record would not reproduce its own file names.
-        raise ConfigError(f"{where}: key {key}: a value cannot hold '#'")
-    setattr(cfg, key, _parse_config_value(key, value, _CONFIG_TYPES[key]))
+        raise ConfigError(f"key {key}: a value cannot hold '#'")
+    typ, value = _CONFIG_TYPES[key], value.strip()
+    try:
+        return key, typ(value)
+    except ValueError:
+        raise ConfigError(f"key {key}: expected {typ.__name__}, got {value!r}") from None
 
 
 def parse_run_config(text: str, source: str = "config") -> RunConfig:
     """Parse key = value lines; '#' starts a comment, unknown keys are
     rejected with the list of accepted keys."""
-    cfg = RunConfig()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source} line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        _set_config_key(cfg, key.strip(), value, f"{source} line {lineno}")
-    return cfg
+    lines = (raw.split("#", 1)[0] for raw in text.splitlines())
+    return RunConfig(**dict(_records(lines, _config_item, f"{source} line")))
 
 
 def load_run_config(path) -> RunConfig:
@@ -280,8 +293,9 @@ def load_run_config(path) -> RunConfig:
 def apply_overrides(cfg: RunConfig, assignments) -> RunConfig:
     """Apply command-line key=value overrides on top of a parsed config."""
     for raw in _check_sequence(assignments, "assignments", ConfigError):
-        if "=" not in raw:
-            raise ConfigError(f"override {raw!r}: expected key=value")
-        key, _, value = raw.partition("=")
-        _set_config_key(cfg, key.strip(), value, f"override {raw!r}")
+        try:
+            key, value = _config_item(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"override {raw!r}: {exc}") from None
+        setattr(cfg, key, value)
     return cfg

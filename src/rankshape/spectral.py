@@ -250,41 +250,49 @@ def _centered_eigh(H: np.ndarray, method: str = "auto", vectors: bool = False):
     n, features = (T, d) if gram else (d, T)
     lead = H.shape[:-2]
     stack = math.prod(lead)
-    mean = np.add.reduce(H, axis=-2, dtype=np.float64)
-    mean /= T
-    step = features if vectors else max(1, GRAM_FLOATS // max(1, stack * n))
-    buf = np.empty(stack * n * min(step, features))
-    tmp = np.empty(stack * min(step, n) * n) if step < features else None
-    for c0 in range(0, features, step):
-        c1 = min(features, c0 + step)
-        rows, cols = (slice(None), slice(c0, c1)) if gram else (slice(c0, c1), slice(None))
-        shape = lead + ((T, c1 - c0) if gram else (c1 - c0, d))
-        Y = np.subtract(H[..., rows, cols], mean[..., None, cols],
-                        out=buf[:stack * n * (c1 - c0)].reshape(shape))
-        if c1 == features:
-            del H
-        if c0 == 0:  # made once the payload is freed, if this is its only chunk
-            M = np.zeros(lead + (n, n))
-        X = Y if gram else Y.swapaxes(-1, -2)
-        for r0 in range(0, n, step):
-            r1 = min(n, r0 + step)
-            out = (M[..., r0:r1, :r1] if c0 == 0 else
-                   tmp[:stack * (r1 - r0) * r1].reshape(lead + (r1 - r0, r1)))
-            D = X[..., r0:r1, :]  # the diagonal block D D^T can run as syrk
-            if r0 > 0:
-                np.matmul(D, X[..., :r0, :].swapaxes(-1, -2), out=out[..., :r0])
-            np.matmul(D, D.swapaxes(-1, -2), out=out[..., r0:])
-            if c0 > 0:
-                M[..., r0:r1, :r1] += out
-    del buf, tmp, Y, X, D, out
-    M /= T
+    with np.errstate(over="ignore", invalid="ignore"):  # _top_eigen refuses an overflow
+        mean = np.add.reduce(H, axis=-2, dtype=np.float64)
+        mean /= T
+        step = features if vectors else max(1, GRAM_FLOATS // max(1, stack * n))
+        buf = np.empty(stack * n * min(step, features))
+        tmp = np.empty(stack * min(step, n) * n) if step < features else None
+        for c0 in range(0, features, step):
+            c1 = min(features, c0 + step)
+            rows, cols = (slice(None), slice(c0, c1)) if gram else (slice(c0, c1), slice(None))
+            shape = lead + ((T, c1 - c0) if gram else (c1 - c0, d))
+            Y = np.subtract(H[..., rows, cols], mean[..., None, cols],
+                            out=buf[:stack * n * (c1 - c0)].reshape(shape))
+            if c1 == features:
+                del H
+            if c0 == 0:  # made once the payload is freed, if this is its only chunk
+                M = np.zeros(lead + (n, n))
+            X = Y if gram else Y.swapaxes(-1, -2)
+            for r0 in range(0, n, step):
+                r1 = min(n, r0 + step)
+                out = (M[..., r0:r1, :r1] if c0 == 0 else
+                       tmp[:stack * (r1 - r0) * r1].reshape(lead + (r1 - r0, r1)))
+                D = X[..., r0:r1, :]  # the diagonal block D D^T can run as syrk
+                if r0 > 0:
+                    np.matmul(D, X[..., :r0, :].swapaxes(-1, -2), out=out[..., :r0])
+                np.matmul(D, D.swapaxes(-1, -2), out=out[..., r0:])
+                if c0 > 0:
+                    M[..., r0:r1, :r1] += out
+        del buf, tmp, Y, X, D, out
+        M /= T
     return (mean,) + _top_eigen(M, min(T, d), vectors)
+
+
+_TOO_LARGE = "trajectory values too large to score: their centred products overflow the float range"
 
 
 def _top_eigen(M: np.ndarray, m: int, vectors: bool = False):
     """The m largest eigenvalues of each symmetric matrix in the (..., n, n)
     stack M, descending and cleaned, with their eigenvectors as columns
-    (None without ``vectors``)."""
+    (None without ``vectors``). A stack holding a value that is not finite,
+    from products that overflowed the float range, is an InputError: the
+    eigensolver would fail on it, or return eigenvalues that are not its."""
+    if not _all_finite(M):
+        raise InputError(_TOO_LARGE)
     if vectors:
         vals, vecs = np.linalg.eigh(M)
         vecs = vecs[..., ::-1][..., :m]
@@ -392,7 +400,11 @@ def principal_subspace(H, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD) ->
         raise ZeroVarianceError("zero-variance trajectory: all rows identical")
     k = _count_for_energy(vals, total, energy_threshold)
     if T < d:
-        directions = (H - mean).T @ vecs[:, :k] / np.sqrt(T * vals[:k])
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(T * vals[:k])  # the centred rows' norms along each direction
+        if not _all_finite(norms):
+            raise InputError(_TOO_LARGE)
+        directions = (H - mean).T @ vecs[:, :k] / norms
     else:
         directions = vecs[:, :k]
     return ManifoldBasis(mean=mean, directions=directions)

@@ -138,29 +138,30 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     eranks = np.empty(H.shape[:-2] + (len(starts),))
     # A block spans fewer than 2w rows; its shifted rows go in this buffer.
     buf = np.empty(H.shape[:-2] + (min(H.shape[-2], 2 * w), H.shape[-1]))
-    i = 0
-    while i < len(starts):
-        j = int(np.searchsorted(starts, starts[i] + w))
-        b0, block = starts[i], starts[i:j] - starts[i]
-        rows = block[:, None] + np.arange(w)
-        n = block[-1] + w
-        Hb = H[..., b0:b0 + n, :]
-        mean = np.add.reduce(Hb, axis=-2, dtype=np.float64, keepdims=True)
-        mean /= n
-        Y = np.subtract(Hb, mean, out=buf[..., :n, :])
-        # C order, so each slice's means sum in the order of a lone trajectory's.
-        G = np.ascontiguousarray((Y @ np.swapaxes(Y, -1, -2))[..., rows[:, :, None],
-                                                                 rows[:, None, :]])
-        shifted = np.trace(G, axis1=-2, axis2=-1)
-        G -= G.mean(axis=-1, keepdims=True)
-        G -= G.mean(axis=-2, keepdims=True)
-        own = np.any(shifted > BLOCK_SHIFT_RATIO * np.trace(G, axis1=-2, axis2=-1), axis=-1)
-        scored = eranks[..., i:j]
-        if not own.all():
-            scored[~own] = _erank_rows(_top_eigen(G[~own] / w, w)[0])
-        if own.any():
-            scored[own] = _own_eranks(Hb[own], block, w)
-        i = j
+    with np.errstate(over="ignore", invalid="ignore"):  # _top_eigen refuses an overflow
+        i = 0
+        while i < len(starts):
+            j = int(np.searchsorted(starts, starts[i] + w))
+            b0, block = starts[i], starts[i:j] - starts[i]
+            rows = block[:, None] + np.arange(w)
+            n = block[-1] + w
+            Hb = H[..., b0:b0 + n, :]
+            mean = np.add.reduce(Hb, axis=-2, dtype=np.float64, keepdims=True)
+            mean /= n
+            Y = np.subtract(Hb, mean, out=buf[..., :n, :])
+            # C order, so each slice's means sum in the order of a lone trajectory's.
+            G = np.ascontiguousarray((Y @ np.swapaxes(Y, -1, -2))[..., rows[:, :, None],
+                                                                     rows[:, None, :]])
+            shifted = np.trace(G, axis1=-2, axis2=-1)
+            G -= G.mean(axis=-1, keepdims=True)
+            G -= G.mean(axis=-2, keepdims=True)
+            own = np.any(shifted > BLOCK_SHIFT_RATIO * np.trace(G, axis1=-2, axis2=-1), axis=-1)
+            scored = eranks[..., i:j]
+            if not own.all():
+                scored[~own] = _erank_rows(_top_eigen(G[~own] / w, w)[0])
+            if own.any():
+                scored[own] = _own_eranks(Hb[own], block, w)
+            i = j
     return eranks
 
 

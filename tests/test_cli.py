@@ -800,13 +800,15 @@ SAMPLES_HEADER = "eff_rank,entropy,correct\n"
     (["passk", "--n", "4", "--ks", ","], "2\n", "input"),
     (["report", "--runs"], "", "input"),
     (["fit-decouple"], "", "bad_header"),
+    (["fit-decouple"], "x" * 200_000 + ",entropy,correct\n", "bad_header"),
     (["fit-decouple"], SAMPLES_HEADER + "1.0,0.5\n", "dimension_mismatch"),
     (["fit-decouple"], SAMPLES_HEADER + "2.0,0.5,2\n", "bad_value"),
     (["fit-decouple"], SAMPLES_HEADER + "0.5,0.5,1\n", "bad_value"),
     (["advantage"], "\n5\n", "group_too_small"),
     (["advantage"], "\n3,nan\n", "input"),
 ], ids=["advantage-bad-reward", "passk-bad-count", "passk-bad-ks", "passk-empty-ks",
-        "report-runs-is-a-file", "fit-decouple-empty", "fit-decouple-two-fields",
+        "report-runs-is-a-file", "fit-decouple-empty", "fit-decouple-header-field-limit",
+        "fit-decouple-two-fields",
         "fit-decouple-correct-2", "fit-decouple-rank-below-1", "advantage-one-value-row",
         "advantage-non-finite-row"])
 def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
@@ -839,13 +841,25 @@ def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
      "error [input]: line 2: invalid literal for int() with base 10: '2.0'"),
     (["passk", "--n", "4", "--ks", "1"], "3\n9\n",
      "error [range]: line 2: count must be >= 0 and <= 4, got 9"),
+    # The config and its overrides are refused before --out is made.
+    (["simulate", "--out", "never-made", "--config"], "alpha = 0.5\n\niterations = x\n",
+     "error [config]: <path> line 3: key iterations: expected int, got 'x'"),
+    (["simulate", "--out", "never-made", "--set", "iterations=y", "--config"], "alpha = 0.5\n",
+     "error [config]: override 'iterations=y': key iterations: expected int, got 'y'"),
+    (["fit-decouple"], SAMPLES_HEADER + "2.0,abc,1\n",
+     "error [bad_value]: row 2: could not convert string to float: 'abc'"),
+    (["fit-decouple"], SAMPLES_HEADER + "1" * 200_000 + ",0.5,1\n",
+     "error [bad_value]: row 2: field larger than field limit (131072)"),
 ], ids=["reward-json", "reward-fields", "reward-range", "reward-int-past-limit",
-        "advantage-float", "advantage-group", "passk-count", "passk-count-range"])
+        "advantage-float", "advantage-group", "passk-count", "passk-count-range",
+        "config-line", "config-override", "samples-row", "samples-field-limit"])
 def test_a_bad_line_is_named_by_the_one_line_error_rule(capsys, tmp_path, argv, text, error):
-    """reward, advantage and passk name the bad line and keep the error's
-    code; a value Python cannot parse is an input error in Python's words."""
+    """reward, advantage, passk, fit-decouple and simulate's config name the
+    bad line (or override) and keep the error's code; a value Python cannot
+    parse is an input error in Python's words."""
     path = tmp_path / "input.txt"
     path.write_text(text)
+    error = error.replace("<path>", str(path))
     code, _, err = run_cli(capsys, *argv, str(path))
     assert (code, err) == (1, error + "\n")
 
@@ -887,3 +901,39 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "[]"
+
+
+OVERFLOW_ROWS = {
+    "3x5": "1e200,0,0,0,0\n0,1e200,0,0,0\n-1e200,-1e200,0,0,0\n",
+    "3x2": "1e200,0\n0,1e200\n-1e200,-1e200\n",
+}
+
+
+@pytest.mark.parametrize("command", ["effrank", "window-rank"])
+@pytest.mark.parametrize("rows", sorted(OVERFLOW_ROWS))
+def test_rows_whose_centred_products_overflow_are_one_error_line(tmp_path, rows, command):
+    # A subprocess, so that a numpy warning or a traceback would reach the real stderr.
+    path = tmp_path / "big.csv"
+    path.write_text(OVERFLOW_ROWS[rows])
+    src = str(Path(rankshape.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "rankshape.cli", command, str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == ("error [input]: trajectory values too large to score: their "
+                             "centred products overflow the float range\n")
+
+
+def test_a_whitespace_only_samples_line_is_skipped(capsys, tmp_path):
+    rng = np.random.default_rng(0)
+    rows = [f"{1.0 + r:.6f},{e:.6f},{int(c)}" for r, e, c in
+            zip(rng.uniform(0, 4, 30), rng.uniform(0, 2, 30), rng.uniform(size=30) < 0.5)]
+    path = tmp_path / "samples.csv"
+    path.write_text(SAMPLES_HEADER + "\n".join(rows) + "\n")
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(SAMPLES_HEADER + "\n".join(rows[:10]) + "\n \t\n" + "\n".join(rows[10:]))
+    fitted = run_cli(capsys, "fit-decouple", str(spaced))
+    assert fitted == run_cli(capsys, "fit-decouple", str(path))
+    assert fitted[0] == 0
+

@@ -19,6 +19,7 @@ from rankshape import (
     lookahead_manifold,
     principal_subspace,
     spectral_entropy,
+    stacked_min_effrank,
     validate_trajectory,
     windowed_min_effrank,
     write_trajectory,
@@ -391,3 +392,43 @@ class TestPrincipalSubspace:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(InputError):
                 principal_subspace(H, bad)
+
+
+# Finite rows whose centred products overflow the float range.
+OVERFLOW_ROWS = {
+    "3x5": np.array([[1e200, 0, 0, 0, 0], [0, 1e200, 0, 0, 0], [-1e200, -1e200, 0, 0, 0]]),
+    "3x2": np.array([[1e200, 0], [0, 1e200], [-1e200, -1e200]]),
+}
+OVERFLOW_SCORERS = {
+    "covariance_spectrum": covariance_spectrum,
+    "covariance_spectrum-gram": lambda H: covariance_spectrum(H, "gram"),
+    "covariance_spectrum-covariance": lambda H: covariance_spectrum(H, "covariance"),
+    "windowed_min_effrank": windowed_min_effrank,
+    "windowed_min_effrank-blocks": lambda H: windowed_min_effrank(H, 2, 1),
+    "erank_stack": erank_stack,
+    "stacked_min_effrank": lambda H: stacked_min_effrank([H, H], 2, 1),
+    "principal_subspace": principal_subspace,
+    "lookahead_manifold": lookahead_manifold,
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(OVERFLOW_SCORERS))
+@pytest.mark.parametrize("rows", sorted(OVERFLOW_ROWS))
+def test_rows_whose_centred_products_overflow_are_refused(rows, scorer):
+    """Refused as too large to score, with no warning, rather than scored
+    from an overflowed product or left to the eigensolver to fail on."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="too large to score"):
+            OVERFLOW_SCORERS[scorer](OVERFLOW_ROWS[rows])
+
+
+def test_principal_directions_past_the_float_range_are_refused():
+    # The centred products are finite, but T times the leading eigenvalue
+    # is not, so the Gram path cannot scale its directions to unit length.
+    H = np.random.default_rng(0).normal(size=(3, 8)) * 10.0**153.7
+    assert covariance_spectrum(H).total_mass > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="too large to score"):
+            principal_subspace(H)
