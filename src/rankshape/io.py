@@ -18,6 +18,7 @@ import os
 import struct
 import typing
 import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -228,8 +229,9 @@ class RunConfig:
     """Flat run configuration for the simulator commands.
 
     It is also the run record: ``simulate`` writes the resolved config,
-    every field under its own name, as the run's JSON, so that file reads
-    back as a config file.
+    every field under its own name, as the run's JSON. That JSON is not a
+    config file itself; written back as ``key = value`` lines, it is one
+    that gives the same run.
 
     Its defaults are also those of sim.build_env, biased_init and train.
     """
@@ -281,8 +283,10 @@ def _config_item(assignment: str) -> tuple[str, object]:
 
 def parse_run_config(text: str, source: str = "config") -> RunConfig:
     """Parse key = value lines; '#' starts a comment, unknown keys are
-    rejected with the list of accepted keys."""
-    lines = (raw.split("#", 1)[0] for raw in text.splitlines())
+    rejected with the list of accepted keys. Lines break only at line feeds
+    and carriage returns, as text_lines reads them, not at a form feed, so
+    a bad line's number is the file's."""
+    lines = (raw.split("#", 1)[0] for raw in StringIO(text, newline=""))
     return RunConfig(**dict(_records(lines, _config_item, f"{source} line")))
 
 

@@ -33,10 +33,12 @@ DEFAULT_ENERGY_THRESHOLD = 0.9
 # so checking a payload read from a file does not add a mask of its size.
 FINITE_CHUNK = 2**16
 
-# _centered_eigh widens and centres a trajectory this many floats (8 MiB)
-# at a time, and adds its products into M through a temporary of as many,
-# so scoring a payload read from a file adds no float64 copy of its size.
-# Much smaller chunks add passes over M and shrink BLAS's inner dimension.
+# _centered_eigh widens and centres a stack this many floats (8 MiB) at a
+# time, and forms each product it adds into M at most as many floats at a
+# time, so scoring a payload read from a file adds no float64 copy of its
+# size. Much smaller chunks add passes over M and shrink BLAS's inner
+# dimension. windows._window_eranks caps a block of windows so that its
+# stacked w x w Grams hold at most this many floats per trajectory.
 GRAM_FLOATS = 2**20
 
 
@@ -231,17 +233,18 @@ def _centered_eigh(H: np.ndarray, method: str = "auto", vectors: bool = False):
     H is not validated here: it comes from validate_trajectory, from the
     CLI's reader (io._read_stored, which checks it) or from the simulator,
     which builds finite states. The mean is summed in float64 from the
-    stored rows. Without ``vectors``, H is then widened and centred a chunk
-    of features at a time, columns for the Gram and rows for the
-    covariance, into one reused float64 buffer; each chunk's product goes
-    into M's lower triangle, all that eigvalsh reads, a block of M's rows at
-    a time through one reused temporary. Buffer and temporary hold at most
-    GRAM_FLOATS floats each (one feature, or one row of M, when that holds
-    more), and this frame drops H, which the CLI passes as a temporary, as
-    soon as its last chunk is widened. A stack of at most GRAM_FLOATS
-    values, or any stack with ``vectors``, is one chunk and one block: the
-    product of the whole centred copy, in full. The widening is exact, so
-    float32 input gives the spectrum of its float64 image.
+    stored rows. H is then widened and centred a chunk of features at a
+    time, columns for the Gram and rows for the covariance: each chunk is
+    one subtraction into a fresh float64 array of at most GRAM_FLOATS
+    values (one feature when that holds more), dropped before the next.
+    A stack of at most GRAM_FLOATS values, or any stack with ``vectors``,
+    is one chunk, and M is its whole product in one matmul, formed after
+    this frame drops H, which the CLI passes as a temporary. Otherwise M
+    starts at zero and each chunk adds its product into M's lower
+    triangle, all that eigvalsh reads, a block of M's rows at a time, each
+    block's product at most GRAM_FLOATS floats (one row of M when that
+    holds more); H is dropped once its last chunk is widened. The widening
+    is exact, so float32 input gives the spectrum of its float64 image.
     """
     if method not in ("auto", "gram", "covariance"):
         raise InputError(f"unknown spectrum method {method!r}")
@@ -254,30 +257,21 @@ def _centered_eigh(H: np.ndarray, method: str = "auto", vectors: bool = False):
         mean = np.add.reduce(H, axis=-2, dtype=np.float64)
         mean /= T
         step = features if vectors else max(1, GRAM_FLOATS // max(1, stack * n))
-        buf = np.empty(stack * n * min(step, features))
-        tmp = np.empty(stack * min(step, n) * n) if step < features else None
+        if step < features:
+            M = np.zeros(lead + (n, n))
         for c0 in range(0, features, step):
-            c1 = min(features, c0 + step)
-            rows, cols = (slice(None), slice(c0, c1)) if gram else (slice(c0, c1), slice(None))
-            shape = lead + ((T, c1 - c0) if gram else (c1 - c0, d))
-            Y = np.subtract(H[..., rows, cols], mean[..., None, cols],
-                            out=buf[:stack * n * (c1 - c0)].reshape(shape))
-            if c1 == features:
+            X = (H[..., c0:c0 + step] - mean[..., None, c0:c0 + step] if gram
+                 else (H[..., c0:c0 + step, :] - mean[..., None, :]).swapaxes(-1, -2))
+            if c0 + step >= features:
                 del H
-            if c0 == 0:  # made once the payload is freed, if this is its only chunk
-                M = np.zeros(lead + (n, n))
-            X = Y if gram else Y.swapaxes(-1, -2)
-            for r0 in range(0, n, step):
-                r1 = min(n, r0 + step)
-                out = (M[..., r0:r1, :r1] if c0 == 0 else
-                       tmp[:stack * (r1 - r0) * r1].reshape(lead + (r1 - r0, r1)))
-                D = X[..., r0:r1, :]  # the diagonal block D D^T can run as syrk
-                if r0 > 0:
-                    np.matmul(D, X[..., :r0, :].swapaxes(-1, -2), out=out[..., :r0])
-                np.matmul(D, D.swapaxes(-1, -2), out=out[..., r0:])
-                if c0 > 0:
-                    M[..., r0:r1, :r1] += out
-        del buf, tmp, Y, X, D, out
+            if step >= features:  # made once the payload is freed, as one syrk
+                M = X @ X.swapaxes(-1, -2)
+            else:  # M's lower triangle, a block of its rows at a time
+                for r0 in range(0, n, step):
+                    rows = slice(r0, r0 + step)  # the diagonal block runs as syrk
+                    M[..., rows, :r0] += X[..., rows, :] @ X[..., :r0, :].swapaxes(-1, -2)
+                    M[..., rows, rows] += X[..., rows, :] @ X[..., rows, :].swapaxes(-1, -2)
+            del X
         M /= T
     return (mean,) + _top_eigen(M, min(T, d), vectors)
 

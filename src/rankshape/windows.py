@@ -15,6 +15,7 @@ from .errors import NormalizationError, TrajectoryTooShortError
 # covariance_spectrum is not called here, but perfbench/spans.py traces it
 # under rankshape.windows, so the name must keep resolving in this module.
 from .spectral import (  # noqa: F401
+    GRAM_FLOATS,
     INT64_MAX,
     _check_int,
     _erank_rows,
@@ -112,46 +113,48 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     alone.
 
     When w >= d, every window is scored from its own centred rows
-    (_own_eranks). When w < d, the starts go in blocks that span w
-    offsets, so a block's rows H[..., b0:last + w, :] number fewer than 2w
-    and its windows are scored together: one Gram product of the block's
-    rows, shifted by their own mean, holds every window's Gram; each
-    w x w slice is double-centred (J G J / w) and the block's slices share
-    one stacked eigensolve. The product rounds at the scale of the shifted
-    rows, so a trajectory with any window of the block whose shifted energy
-    exceeds its centred energy by more than BLOCK_SHIFT_RATIO (a quiet
-    stretch beside busy rows, or a constant window) has that block scored
-    from its windows' own rows instead, by _own_eranks on a copy of the
-    block's rows of those trajectories.
+    (_own_eranks). When w < d, the starts go in blocks that span fewer
+    than w offsets and hold at most GRAM_FLOATS // w^2 starts (at least
+    one), so a block's rows H[..., b0:last + w, :] number fewer than 2w,
+    its stacked w x w Grams hold at most GRAM_FLOATS floats per trajectory
+    at any stride, and its windows are scored together: one Gram product
+    of the block's rows, shifted by their own mean, holds every window's
+    Gram; each w x w slice is double-centred (J G J / w) and the block's
+    slices share one stacked eigensolve. The product rounds at the scale
+    of the shifted rows, so a trajectory with any window of the block
+    whose shifted energy exceeds its centred energy by more than
+    BLOCK_SHIFT_RATIO (a quiet stretch beside busy rows, or a constant
+    window) has that block scored from its windows' own rows instead, by
+    _own_eranks on a copy of the block's rows of those trajectories.
 
     H may be float32 (a trajectory as stored in HSTB) or float64. A
     block's mean is summed in float64 from its stored rows, and its rows
-    minus that mean are written into one float64 buffer of min(T, 2w) rows
-    that every block reuses; the widening is exact, so a float32 trajectory
-    scores as its float64 image does, and no block is copied before it is
-    shifted. H is trusted to be finite:
-    the public entry points take it from validate_trajectory, _finite_stack
-    or the reader, and the simulator builds its own states.
+    minus that mean are one subtraction into a fresh float64 array,
+    dropped once the block's Gram is formed; the widening is exact, so a
+    float32 trajectory scores as its float64 image does, and no block is
+    copied before it is shifted. The block cap does not depend on the
+    stack, so each trajectory's blocks are the ones it has alone. H is
+    trusted to be finite: the public entry points take it from
+    validate_trajectory, _finite_stack or the reader, and the simulator
+    builds its own states.
     """
     if w >= H.shape[-1]:
         return _own_eranks(H, starts, w)
     eranks = np.empty(H.shape[:-2] + (len(starts),))
-    # A block spans fewer than 2w rows; its shifted rows go in this buffer.
-    buf = np.empty(H.shape[:-2] + (min(H.shape[-2], 2 * w), H.shape[-1]))
+    most = max(1, GRAM_FLOATS // (w * w))  # windows a block's stacked Grams may hold
     with np.errstate(over="ignore", invalid="ignore"):  # _top_eigen refuses an overflow
         i = 0
         while i < len(starts):
-            j = int(np.searchsorted(starts, starts[i] + w))
+            j = min(int(np.searchsorted(starts, starts[i] + w)), i + most)
             b0, block = starts[i], starts[i:j] - starts[i]
             rows = block[:, None] + np.arange(w)
             n = block[-1] + w
             Hb = H[..., b0:b0 + n, :]
-            mean = np.add.reduce(Hb, axis=-2, dtype=np.float64, keepdims=True)
-            mean /= n
-            Y = np.subtract(Hb, mean, out=buf[..., :n, :])
+            Y = Hb - np.add.reduce(Hb, axis=-2, dtype=np.float64, keepdims=True) / n
             # C order, so each slice's means sum in the order of a lone trajectory's.
             G = np.ascontiguousarray((Y @ np.swapaxes(Y, -1, -2))[..., rows[:, :, None],
                                                                      rows[:, None, :]])
+            del Y
             shifted = np.trace(G, axis1=-2, axis2=-1)
             G -= G.mean(axis=-1, keepdims=True)
             G -= G.mean(axis=-2, keepdims=True)

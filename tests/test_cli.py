@@ -678,6 +678,14 @@ class TestMalformedInput:
         assert code == 0
         assert out.splitlines()[1].split(",")[1] == "4"
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"alpha": 0.5}', '{"train_seed": 1}', "3"])
+    def test_report_skips_a_json_that_is_not_a_run_record(self, capsys, tmp_path, text):
+        out_dir, _, _ = self.write_run(tmp_path, capsys)
+        _, expected, _ = run_cli(capsys, "report", "--runs", str(out_dir))
+        (out_dir / "notes.json").write_text(text)
+        code, out, err = run_cli(capsys, "report", "--runs", str(out_dir))
+        assert (code, out, err) == (0, expected, "")
+
     def test_report_unparseable_trace_number(self, capsys, tmp_path):
         out_dir, _, trace_path = self.write_run(tmp_path, capsys)
         lines = trace_path.read_text().splitlines()
@@ -844,6 +852,8 @@ def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
     # The config and its overrides are refused before --out is made.
     (["simulate", "--out", "never-made", "--config"], "alpha = 0.5\n\niterations = x\n",
      "error [config]: <path> line 3: key iterations: expected int, got 'x'"),
+    (["simulate", "--out", "never-made", "--config"], "alpha = 0.5\x0c\niterations = x\n",
+     "error [config]: <path> line 2: key iterations: expected int, got 'x'"),
     (["simulate", "--out", "never-made", "--set", "iterations=y", "--config"], "alpha = 0.5\n",
      "error [config]: override 'iterations=y': key iterations: expected int, got 'y'"),
     (["fit-decouple"], SAMPLES_HEADER + "2.0,abc,1\n",
@@ -852,7 +862,7 @@ def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
      "error [bad_value]: row 2: field larger than field limit (131072)"),
 ], ids=["reward-json", "reward-fields", "reward-range", "reward-int-past-limit",
         "advantage-float", "advantage-group", "passk-count", "passk-count-range",
-        "config-line", "config-override", "samples-row", "samples-field-limit"])
+        "config-line", "config-form-feed", "config-override", "samples-row", "samples-field-limit"])
 def test_a_bad_line_is_named_by_the_one_line_error_rule(capsys, tmp_path, argv, text, error):
     """reward, advantage, passk, fit-decouple and simulate's config name the
     bad line (or override) and keep the error's code; a value Python cannot

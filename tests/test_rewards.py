@@ -66,6 +66,11 @@ class TestGatedRewards:
         with pytest.raises(InputError, match="alpha"):
             gated_rewards([True, False], [0.5, 0.5], -0.1)
 
+    def test_int_alpha_past_the_float_range_rejected(self):
+        with pytest.raises(InputError) as info:
+            gated_rewards([True], [0.5], alpha=10**400)
+        assert str(info.value) == "alpha must be finite, got a value past the float range"
+
     @pytest.mark.parametrize("norm_rank, match", [
         (["abc"], "norm_rank must be a numeric vector"),
         (["0.5"], "norm_rank must be a numeric vector"),

@@ -743,6 +743,15 @@ class TestSimTraceCsv:
         with pytest.raises(InputError):
             SimTrace.from_csv(path)
 
+    @pytest.mark.parametrize("rows", ["", "0,1.0,0.5,0.5\n", "0,1.0,0.5,0.5,1.0,2\n"],
+                             ids=["no-rows", "short-row", "long-row"])
+    def test_malformed_rows_rejected(self, tmp_path, rows):
+        path = tmp_path / "trace.csv"
+        path.write_text(SimTrace.CSV_HEADER + "\n" + rows)
+        with pytest.raises(InputError) as info:
+            SimTrace.from_csv(path)
+        assert str(info.value) == f"malformed trace CSV: {path}"
+
 
 class TestTemperatureSweep:
     def test_pinned_policy_stays_rank_one(self):

@@ -1,12 +1,14 @@
 """The block scorer against an oracle that widens and shifts each block the
 plain way: the block's rows copied to float64, their mean taken by
 ``B.mean`` and the shifted rows formed by ``B - mean``, a fresh array per
-block. _window_eranks instead sums the mean from the stored rows and writes
-the shifted rows into one reused buffer; its scores must be equal bit for
-bit, for float32 and float64 input, one trajectory or a stack, and blocks
+block. _window_eranks instead sums the mean in float64 from the stored rows
+and widens and shifts them in one subtraction; its scores must be equal bit
+for bit, for float32 and float64 input, one trajectory or a stack, and blocks
 where every, no or some trajectory falls back to its own rows. With
 OWN_ROWS_FLOATS made small, windows scored from their own rows are copied
-out a few at a time, and the scores must not change."""
+out a few at a time, and the scores must not change. The widths drawn
+here are at most 12, so the block cap of GRAM_FLOATS // w^2 windows never
+binds; test_windows.py checks capped blocks."""
 
 import numpy as np
 import pytest

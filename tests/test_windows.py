@@ -20,7 +20,8 @@ from rankshape import (
     window_starts,
     windowed_min_effrank,
 )
-from rankshape.windows import OWN_ROWS_FLOATS, _window_eranks
+from rankshape import windows
+from rankshape.windows import GRAM_FLOATS, OWN_ROWS_FLOATS, _window_eranks
 
 
 def profile_with(min_erank, r_max):
@@ -284,15 +285,20 @@ class TestStackedMinEffrank:
         for g, H in enumerate(states):
             assert min_erank[g] == windowed_min_effrank(H, 8, 4).min_erank
 
-    def test_block_scorer_holds_one_buffer_and_the_block_grams(self):
-        """At w < d a float32 (T, d) trajectory is scored with one float64
-        buffer of min(T, 2w) x d for the shifted rows of every block, and
-        per block with the Gram of its n rows and at most four arrays of
-        its k window slices: the slices, numpy's index for them, the
-        previous block's slices and G / w. No block is widened or shifted
-        into arrays of its own, which would add 2 x n x d floats."""
-        T, d, w, s = 1024, 512, 64, 16
-        k = w // s
+    @pytest.mark.parametrize("T, w, s", [(1024, 64, 16), (512, 256, 4)], ids=["w64", "w256"])
+    def test_block_scorer_holds_one_buffer_and_the_block_grams(self, T, w, s):
+        """At w < d a float32 (T, d) trajectory is scored one block at a
+        time: the block's shifted rows, one float64 array of n < min(T, 2w)
+        rows by d, dropped once its Gram is formed, the Gram of its n rows
+        and at most four arrays of its k window slices: the slices, numpy's
+        index for them, the previous block's slices and G / w. No block is
+        widened and then shifted in two arrays, nor are two blocks' shifted
+        rows held at once, either of which would add n x d floats. A block
+        holds at most GRAM_FLOATS // w^2 windows: at w = 256 and stride 4
+        that is 16, where the 64 windows spanning w offsets would stack
+        32 MiB of Grams."""
+        d = 512
+        k = min(w // s, GRAM_FLOATS // (w * w))
         n = (k - 1) * s + w
         H = np.random.default_rng(0).normal(size=(T, d)).astype(np.float32)
         tracemalloc.start()
@@ -302,7 +308,7 @@ class TestStackedMinEffrank:
         finally:
             tracemalloc.stop()
         bound = 8 * (min(T, 2 * w) * d + n * n + 4 * k * w * w)
-        print(f"BUDGET test_block_scorer_holds_one_buffer_and_the_block_grams {peak} {bound}")
+        print(f"BUDGET test_block_scorer_holds_one_buffer_and_the_block_grams[w{w}] {peak} {bound}")
         assert peak <= bound
 
     def test_falling_back_block_copies_one_chunk_of_windows_at_a_time(self):
@@ -331,6 +337,22 @@ class TestStackedMinEffrank:
         bound = blocks + 4 * n * d + chunk * (12 * w * d + 8 * w * w)
         print(f"BUDGET test_falling_back_block_copies_one_chunk_of_windows_at_a_time {peak} {bound}")
         assert peak <= bound
+
+    @pytest.mark.parametrize("most", [1, 2, 3])  # uncapped, a block holds 4 windows
+    def test_capped_blocks_score_each_trajectory_as_alone(self, monkeypatch, most):
+        """With GRAM_FLOATS cut so that a block holds ``most`` windows, a
+        stack still scores bit for bit as each trajectory alone, since the
+        cap does not depend on the stack, and each window as its own
+        covariance spectrum."""
+        w, s = 8, 2
+        monkeypatch.setattr(windows, "GRAM_FLOATS", most * w * w)
+        states = 3.0 + np.random.default_rng(most).normal(size=(4, 40, 12))
+        starts = np.asarray(window_starts(40, w, s))
+        eranks = _window_eranks(states, starts, w)
+        for g, H in enumerate(states):
+            assert eranks[g].tobytes() == _window_eranks(H, starts, w).tobytes()
+            expected = [erank_or_floor(covariance_spectrum(H[a:a + w])) for a in starts]
+            np.testing.assert_allclose(eranks[g], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("d", [4, 16])  # w >= d and w < d
     def test_empty_stack_scores_empty(self, d):
