@@ -194,13 +194,14 @@ def cmd_simulate(args) -> int:
     stem = (f"{cfg.label}_" if cfg.label else "") + f"alpha{cfg.alpha:g}_seed{cfg.train_seed}"
     trace_path = out / f"{stem}.csv"
     config_path = out / f"{stem}.json"
+    if trace_path.parent != out or "\0" in cfg.label:  # a label holding a path, or NUL
+        raise InputError(f"cannot write in {trace_path.parent}: label {cfg.label!r} must be "
+                         f"a file name prefix, with no directory part or NUL byte")
     # Deepest first. os.path.exists, unlike Path.exists, never raises.
     made = [d for d in (out, *out.parents) if not os.path.exists(d)]
     try:
         with _file_errors("write", out):  # before training, so an unwritable output fails fast
             out.mkdir(parents=True, exist_ok=True)
-            if not trace_path.parent.is_dir():  # a label holding "/"
-                raise InputError(f"cannot write {trace_path}: no directory {trace_path.parent}")
         trace = train(env, policy, alpha=cfg.alpha, group_size=cfg.group_size,
                       iterations=cfg.iterations, learning_rate=cfg.learning_rate,
                       seed=cfg.train_seed, window=cfg.window, stride=cfg.stride)
@@ -227,7 +228,7 @@ def cmd_report(args) -> int:
     for config_path in sorted(runs.glob("*.json")):
         try:
             config = json.loads("".join(text_lines(config_path)))
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # a decode error, or an int past the limit
             raise InputError(f"malformed config JSON {config_path}: {exc}") from None
         if not isinstance(config, dict) or "alpha" not in config or "train_seed" not in config:
             continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -129,7 +130,7 @@ def _read_hstb(path: Path) -> tuple[np.ndarray, dict | None]:
             raise FileFormatError("trailing_data", "unexpected bytes after metadata block")
         try:
             metadata = json.loads(rest[4:4 + meta_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # a decode error, or an int past the limit
             raise FileFormatError("bad_metadata", f"metadata is not valid JSON: {exc}") from None
     if not _all_finite(payload):
         r, c = np.argwhere(~np.isfinite(payload))[0]
@@ -199,9 +200,16 @@ def _loadtxt_lines(path: Path):
 
 
 def _read_csv_cells(path: Path) -> np.ndarray:
-    """Rows and columns are named by 0-based index; blank lines count as rows."""
-    rows = []
-    for r, line in enumerate(csv.reader(text_lines(path))):
+    """Rows and columns are named by 0-based index; blank lines count as rows.
+    A field past the csv module's size limit is bad_value naming its row."""
+    rows, reader = [], csv.reader(text_lines(path))
+    for r in itertools.count():
+        try:
+            line = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise FileFormatError("bad_value", f"unparseable value at row {r}: {exc}") from None
         if not line:
             continue
         if rows and len(line) != len(rows[0]):

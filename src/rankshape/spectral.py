@@ -33,12 +33,14 @@ DEFAULT_ENERGY_THRESHOLD = 0.9
 # so checking a payload read from a file does not add a mask of its size.
 FINITE_CHUNK = 2**16
 
-# _centered_eigh widens and centres a stack this many floats (8 MiB) at a
-# time, and forms each product it adds into M at most as many floats at a
-# time, so scoring a payload read from a file adds no float64 copy of its
-# size. Much smaller chunks add passes over M and shrink BLAS's inner
-# dimension. windows._window_eranks caps a block of windows so that its
-# stacked w x w Grams hold at most this many floats per trajectory.
+# _centered_eigh widens and centres each trajectory of a stack this many
+# floats (8 MiB) at a time, and forms each product it adds into M at most as
+# many floats per trajectory at a time, so scoring a payload read from a
+# file adds no float64 copy of its size. The budget is per trajectory, so a
+# trajectory's chunks, and so its bits, do not depend on its stack. Much
+# smaller chunks add passes over M and shrink BLAS's inner dimension.
+# windows._window_eranks caps a block of windows so that its stacked w x w
+# Grams hold at most this many floats per trajectory too.
 GRAM_FLOATS = 2**20
 
 
@@ -236,29 +238,30 @@ def _centered_eigh(H: np.ndarray, method: str = "auto", vectors: bool = False):
     stored rows. H is then widened and centred a chunk of features at a
     time, columns for the Gram and rows for the covariance: each chunk is
     one subtraction into a fresh float64 array of at most GRAM_FLOATS
-    values (one feature when that holds more), dropped before the next.
-    A stack of at most GRAM_FLOATS values, or any stack with ``vectors``,
-    is one chunk, and M is its whole product in one matmul, formed after
+    values per trajectory (one feature when that holds more), dropped
+    before the next. The chunk width is GRAM_FLOATS // n whatever the
+    stack and the caller, so each trajectory of a stack scores bit for
+    bit as it does alone. A trajectory of at most GRAM_FLOATS values is
+    one chunk, and M is its whole product in one matmul, formed after
     this frame drops H, which the CLI passes as a temporary. Otherwise M
     starts at zero and each chunk adds its product into M's lower
-    triangle, all that eigvalsh reads, a block of M's rows at a time, each
-    block's product at most GRAM_FLOATS floats (one row of M when that
-    holds more); H is dropped once its last chunk is widened. The widening
-    is exact, so float32 input gives the spectrum of its float64 image.
+    triangle, all that eigvalsh and eigh read, a block of M's rows at a
+    time, each block's product at most GRAM_FLOATS floats per trajectory
+    (one row of M when that holds more); H is dropped once its last chunk
+    is widened. The widening is exact, so float32 input gives the
+    spectrum of its float64 image.
     """
     if method not in ("auto", "gram", "covariance"):
         raise InputError(f"unknown spectrum method {method!r}")
     T, d = H.shape[-2:]
     gram = T < d if method == "auto" else method == "gram"
     n, features = (T, d) if gram else (d, T)
-    lead = H.shape[:-2]
-    stack = math.prod(lead)
     with np.errstate(over="ignore", invalid="ignore"):  # _top_eigen refuses an overflow
         mean = np.add.reduce(H, axis=-2, dtype=np.float64)
         mean /= T
-        step = features if vectors else max(1, GRAM_FLOATS // max(1, stack * n))
+        step = max(1, GRAM_FLOATS // n)
         if step < features:
-            M = np.zeros(lead + (n, n))
+            M = np.zeros(H.shape[:-2] + (n, n))
         for c0 in range(0, features, step):
             X = (H[..., c0:c0 + step] - mean[..., None, c0:c0 + step] if gram
                  else (H[..., c0:c0 + step, :] - mean[..., None, :]).swapaxes(-1, -2))
@@ -347,7 +350,7 @@ def erank_stack(H) -> np.ndarray:
 
 def _erank_stack(H: np.ndarray) -> np.ndarray:
     """erank_stack of a (..., T, d) float32 or float64 stack trusted to be
-    finite: the simulator builds it, and the windows that _own_eranks passes
+    finite: the simulator builds it, and the windows that windows.py passes
     come from a trajectory checked by validate_trajectory or by the reader."""
     return _erank_rows(_centered_eigh(H)[1])
 

@@ -96,15 +96,15 @@ class TestWindowRank:
     (200, 96, 32, 8, False, {"gram"}),
     (120, 16, 32, 8, False, {"own"}),
     (200, 64, 16, 4, True, {"gram", "own"}),
-    (20, 48, 64, 16, False, {"gram"}),
+    (20, 48, 64, 16, False, {"own"}),
 ], ids=["shared_gram", "own_rows", "constant_stretch", "shorter_than_window"])
 def test_stored_float32_scores_as_its_float64_image(capsys, tmp_path, monkeypatch,
                                                     T, d, width, stride, quiet, paths):
     """window-rank and effrank score the float32 payload as stored; their
     output equals, byte for byte, the float64 library path's. ``paths``
     names the window scorers each case reaches: the shared block Gram, and
-    each window's own rows (w >= d, or a constant stretch that trips
-    BLOCK_SHIFT_RATIO)."""
+    each window's own rows through _erank_stack (a lone window, w >= d, or
+    a constant stretch that trips BLOCK_SHIFT_RATIO)."""
     from rankshape import windows
 
     H = 300.0 + np.random.default_rng(7).normal(size=(T, d))  # an LLM-like offset
@@ -137,6 +137,24 @@ def test_stored_float32_scores_as_its_float64_image(capsys, tmp_path, monkeypatc
                    "--stride", str(stride)) == (0, expected_window, "")
     assert taken == paths
     assert run_cli(capsys, "effrank", str(path)) == (0, expected_effrank, "")
+
+
+@pytest.mark.parametrize("T, d", [(100, 300), (300, 100)], ids=["gram", "covariance"])
+def test_a_window_over_the_whole_trajectory_scores_as_effrank(capsys, tmp_path, monkeypatch,
+                                                              T, d):
+    """window-rank --w T scores its one window through the eigen core that
+    effrank uses, in the same chunks (here 2**12 floats), so its min_erank
+    is effrank's effective_rank bit for bit, on either path."""
+    from rankshape import spectral
+
+    monkeypatch.setattr(spectral, "GRAM_FLOATS", 2**12)
+    path = tmp_path / "traj.hstb"
+    write_trajectory(path, 300.0 + np.random.default_rng(0).normal(size=(T, d)))
+    code, window, _ = run_cli(capsys, "window-rank", str(path), "--w", str(T))
+    assert code == 0
+    code, whole, _ = run_cli(capsys, "effrank", str(path))
+    assert code == 0
+    assert json.loads(window)["min_erank"] == json.loads(whole)["effective_rank"]
 
 
 class TestReward:
@@ -643,14 +661,20 @@ class TestMalformedInput:
         assert err.startswith("error [input]:")
         assert option in err
 
-    @pytest.mark.parametrize("case", ["label_with_slash", "out_is_a_file", "out_under_a_file"])
+    @pytest.mark.parametrize("case", ["label_with_slash", "out_is_a_file", "out_under_a_file",
+                                      "label_to_the_parent", "absolute_label",
+                                      "label_into_an_existing_directory", "label_with_nul"])
     def test_simulate_unwritable_output_is_input_error(self, capsys, tmp_path, monkeypatch, case):
+        """The label is a file name prefix: a label whose outputs would land
+        outside --out, even in a directory that exists, or that holds NUL is
+        refused as an unwritable output is, before --out is made."""
         def train(*args, **kwargs):
             raise AssertionError("simulate trained before checking its output path")
 
         monkeypatch.setattr("rankshape.cli.train", train)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("iterations = 2\nhorizon = 12\nwindow = 12\n")
+        cfg.write_text("iterations = 2\nhorizon = 12\nwindow = 12\n"
+                       + ("label = a\0b\n" if case == "label_with_nul" else ""))
         a_file = tmp_path / "a_file"
         a_file.write_text("")
         out, argv = tmp_path / "runs", []
@@ -658,16 +682,39 @@ class TestMalformedInput:
             argv, named = ["--set", "label=a/b"], str(out / "a")
         elif case == "out_is_a_file":
             out = named = a_file
-        else:
+        elif case == "out_under_a_file":
             out = a_file / "runs"
             named = str(out)
+        elif case == "label_to_the_parent":
+            argv, named = ["--set", "label=../esc"], str(out / "..")
+        elif case == "absolute_label":
+            named = tmp_path / "elsewhere"
+            named.mkdir()
+            argv = ["--set", f"label={named / 'x'}"]
+        elif case == "label_into_an_existing_directory":
+            named = out / "sub"
+            named.mkdir(parents=True)
+            argv = ["--set", "label=sub/x"]
+        else:
+            named = out
         code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg),
                                     "--out", str(out), *argv)
         assert code == 1
         assert stdout == ""
         assert err.startswith("error [input]:")
         assert str(named) in err
+        assert len(err.splitlines()) == 1
         assert not [p for p in tmp_path.rglob("*") if p.suffix in (".csv", ".json")]
+        assert out.exists() == (case in ("out_is_a_file", "label_into_an_existing_directory"))
+
+    def test_report_int_past_the_digit_limit_is_malformed_json(self, capsys, tmp_path):
+        out_dir, config_path, _ = self.write_run(tmp_path, capsys)
+        config_path.write_text('{"alpha": 1' + "0" * 5000 + ', "train_seed": 1}')
+        code, out, err = run_cli(capsys, "report", "--runs", str(out_dir))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error [input]: malformed config JSON {config_path}: "
+                              "Exceeds the limit (4300 digits)")
 
     def test_report_accepts_integral_float_seed(self, capsys, tmp_path):
         out_dir, config_path, _ = self.write_run(tmp_path, capsys)
@@ -814,11 +861,14 @@ SAMPLES_HEADER = "eff_rank,entropy,correct\n"
     (["fit-decouple"], SAMPLES_HEADER + "0.5,0.5,1\n", "bad_value"),
     (["advantage"], "\n5\n", "group_too_small"),
     (["advantage"], "\n3,nan\n", "input"),
+    (["effrank"], "1,2\n3," + "9" * 200_000 + "\n", "bad_value"),
+    (["effrank"], "1,2\n3," + "x" * 200_000 + "\n", "bad_value"),
 ], ids=["advantage-bad-reward", "passk-bad-count", "passk-bad-ks", "passk-empty-ks",
         "report-runs-is-a-file", "fit-decouple-empty", "fit-decouple-header-field-limit",
         "fit-decouple-two-fields",
         "fit-decouple-correct-2", "fit-decouple-rank-below-1", "advantage-one-value-row",
-        "advantage-non-finite-row"])
+        "advantage-non-finite-row", "effrank-number-past-field-limit",
+        "effrank-junk-past-field-limit"])
 def test_documented_error_exit(capsys, tmp_path, argv, text, error_code):
     path = tmp_path / "input.csv"
     path.write_text(text)

@@ -111,8 +111,10 @@ class TestHstbErrors:
         blob = self.good_blob() + struct.pack("<I", 2) + b'{}x'
         self.expect_code(tmp_path, blob, "trailing_data")
 
-    @pytest.mark.parametrize("meta", [b"{oops", b"\xff\xfe", b"[" * 200_000],
-                             ids=["invalid_json", "not_utf8", "deeply_nested"])
+    @pytest.mark.parametrize("meta", [b"{oops", b"\xff\xfe", b"[" * 200_000,
+                                      b'{"n": 1' + b"0" * 5000 + b"}"],
+                             ids=["invalid_json", "not_utf8", "deeply_nested",
+                                  "int_past_the_digit_limit"])
     def test_bad_metadata(self, tmp_path, meta):
         blob = self.good_blob() + struct.pack("<I", len(meta)) + meta
         self.expect_code(tmp_path, blob, "bad_metadata")
@@ -260,6 +262,31 @@ def test_cli_effrank_holds_the_payload_the_matrix_and_two_chunk_buffers(tmp_path
     assert peak <= bound
 
 
+def test_cli_window_rank_of_one_whole_window_holds_what_effrank_holds(tmp_path, capsys,
+                                                                       monkeypatch):
+    """window-rank --w T on a T < d file scores its one window through the
+    eigen core that effrank uses, on a view of the payload: with
+    GRAM_FLOATS cut to 2**14 it holds effrank's budget, the float32
+    payload, the T x T matrix and two chunk buffers, and no T x d float64
+    copy of the trajectory (8 T d bytes)."""
+    monkeypatch.setattr(spectral, "GRAM_FLOATS", 2**14)
+    T, d = 256, 1024
+    path = tmp_path / "big.hstb"
+    write_trajectory(path, f32(np.random.default_rng(0).normal(size=(T, d))))
+    tracemalloc.start()
+    try:
+        code = main(["window-rank", str(path), "--w", str(T)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    bound = 4 * T * d + 8 * T * T + 2 * 8 * spectral.GRAM_FLOATS + 2**18
+    print(f"BUDGET test_cli_window_rank_of_one_whole_window_holds_what_effrank_holds "
+          f"{peak} {bound}")
+    assert peak <= bound
+
+
 @pytest.mark.parametrize("name", ["traj.hstb", "traj.csv"])
 def test_write_into_a_missing_directory_is_an_input_error(tmp_path, name):
     path = tmp_path / "no" / "such" / name
@@ -283,6 +310,16 @@ class TestCsvTrajectories:
             read_trajectory(path)
         assert info.value.code == "non_finite_value"
         assert "row 1" in str(info.value) and "column 1" in str(info.value)
+
+    @pytest.mark.parametrize("cell", ["9" * 200_000, "x" * 200_000], ids=["number", "junk"])
+    def test_field_past_the_csv_limit_is_a_bad_value(self, tmp_path, cell):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(FileFormatError) as info:
+            read_trajectory(path)
+        assert info.value.code == "bad_value"
+        assert str(info.value) == ("unparseable value at row 1: "
+                                   "field larger than field limit (131072)")
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "traj.csv"

@@ -1,5 +1,6 @@
 """Property tests: the window scorer against its per-window oracle and
-against each trajectory scored alone, the stride-1 window minimum, the
+against each trajectory scored alone, each trajectory of a chunked stack
+against itself alone, the stride-1 window minimum, the
 effective rank's invariances and its two eigen paths, group advantages,
 and the HSTB readers (public and as stored) against arbitrary bytes, and
 the CSV reader against the per-cell reader it replaced. Also: a failing property is reported as a failure."""
@@ -23,6 +24,7 @@ from rankshape import (  # noqa: E402
     covariance_spectrum,
     effective_rank,
     erank_or_floor,
+    erank_stack,
     group_advantages,
     read_trajectory,
     read_trajectory_with_metadata,
@@ -30,6 +32,7 @@ from rankshape import (  # noqa: E402
     windowed_min_effrank,
     write_trajectory,
 )
+from rankshape import spectral  # noqa: E402
 from rankshape.io import _read_stored  # noqa: E402
 from rankshape.rewards import STD_FLOOR  # noqa: E402
 
@@ -78,6 +81,33 @@ def test_stacked_scores_equal_each_trajectory_alone(case):
         alone = stacked_min_effrank(H, width, stride)
         assert (min_erank[g], ranks[g]) == alone
         assert windowed_min_effrank(H, width, stride).min_erank == min_erank[g]
+
+
+@st.composite
+def chunked_stacks(draw):
+    """A (G, T, d) stack of 2 to 4 trajectories on an LLM-like offset, T and
+    d in 2..59, so that with GRAM_FLOATS at 2**10 most of them are built in
+    several chunks."""
+    G = draw(st.integers(2, 4))
+    T = draw(st.integers(2, 59))
+    d = draw(st.integers(2, 59))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return 300.0 + rng.normal(size=(G, T, d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunked_stacks())
+def test_each_trajectory_of_a_chunked_stack_scores_as_it_does_alone(states):
+    # Bit for bit: the eigen core's chunks are sized by one trajectory, so a
+    # trajectory's chunks, and its score, do not depend on its stack.
+    T = states.shape[-2]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "GRAM_FLOATS", 2**10)
+        eranks = erank_stack(states)
+        lone, _ = stacked_min_effrank(states, T, 1)  # one window: the whole trajectory
+        for g, H in enumerate(states):
+            assert erank_stack(H) == eranks[g]
+            assert stacked_min_effrank(H, T, 1)[0] == lone[g]
 
 
 @settings(max_examples=100, deadline=None)

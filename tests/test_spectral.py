@@ -234,10 +234,11 @@ def is_gram(shape, method):
 
 
 def chunk_floats(shape, method, features):
-    """The GRAM_FLOATS that cuts a stack of ``shape`` into chunks of
-    ``features`` features: columns of T values on the Gram path, rows of d
-    values on the covariance path, for each trajectory of the stack."""
-    return features * int(np.prod(shape[:-2])) * shape[-2 if is_gram(shape, method) else -1]
+    """The GRAM_FLOATS that cuts each trajectory of a stack of ``shape`` into
+    chunks of ``features`` features: columns of T values on the Gram path,
+    rows of d values on the covariance path. The budget is per trajectory,
+    so the stack's size does not enter."""
+    return features * shape[-2 if is_gram(shape, method) else -1]
 
 
 class TestChunkedProduct:
@@ -260,8 +261,9 @@ class TestChunkedProduct:
     @pytest.mark.parametrize("shape, method", CHUNK_CASES)
     def test_one_chunk_is_the_product_of_the_whole_centred_copy(self, monkeypatch, shape,
                                                                 method, dtype):
-        """A stack of at most GRAM_FLOATS values is one chunk and one block:
-        bit for bit the full product of its whole centred float64 copy."""
+        """A stack of trajectories of at most GRAM_FLOATS values each is one
+        chunk and one block: bit for bit the full product of its whole
+        centred float64 copy."""
         H = llm_like(shape).astype(dtype)
         M, mean, _ = built_product(monkeypatch, H, method)
         Y = H.astype(np.float64)
@@ -282,6 +284,21 @@ class TestChunkedProduct:
         for got, image in zip(built_product(monkeypatch, H, method, floats),
                               built_product(monkeypatch, H.astype(np.float64), method, floats)):
             npt.assert_array_equal(got, image)
+
+
+    @pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["gram", "covariance"])
+    def test_chunked_principal_subspace_spans_the_one_chunk_subspace(self, monkeypatch, shape):
+        """principal_subspace needs eigenvectors, which eigh reads from the
+        lower triangle that the chunked builder fills: chunks of 7 features
+        give the one-chunk basis's subspace, its projectors within 1e-12."""
+        H = llm_like(shape) * np.linspace(3.0, 0.1, shape[1])
+        whole = principal_subspace(H, 0.9)
+        monkeypatch.setattr(spectral, "GRAM_FLOATS", chunk_floats(shape, "auto", 7))
+        chunked = principal_subspace(H, 0.9)
+        assert chunked.k == whole.k
+        npt.assert_array_equal(chunked.mean, whole.mean)
+        projector = chunked.directions @ chunked.directions.T
+        assert np.abs(projector - whole.directions @ whole.directions.T).max() <= 1e-12
 
 
 class TestEntropyAndRank:
