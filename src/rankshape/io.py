@@ -174,19 +174,21 @@ def _read_csv(path: Path) -> np.ndarray:
     it names the failing row and column, reads the spellings only float()
     accepts (``1_0``, non-ASCII digits), and reports a non-UTF-8 byte only
     if no earlier cell fails (numpy reads the whole file before it looks
-    for non-finite values)."""
+    for non-finite values). Each reader's lines are closed as it stops, so a
+    refused file leaves no open file for the garbage collector to find."""
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), contextlib.closing(_loadtxt_lines(path)) as lines:
             # An empty file is reported by the per-cell reader instead.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            H = np.loadtxt(_loadtxt_lines(path), delimiter=",", quotechar='"', comments=None,
-                           ndmin=2, dtype=np.float64)
+            H = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                           dtype=np.float64)
     except (ValueError, InputError):
         pass
     else:
         if H.size and _all_finite(H):
             return H
-    return _read_csv_cells(path)
+    with contextlib.closing(text_lines(path)) as lines:
+        return _read_csv_cells(lines, path)
 
 
 def _loadtxt_lines(path: Path):
@@ -199,10 +201,11 @@ def _loadtxt_lines(path: Path):
         yield line
 
 
-def _read_csv_cells(path: Path) -> np.ndarray:
-    """Rows and columns are named by 0-based index; blank lines count as rows.
+def _read_csv_cells(lines, path: Path) -> np.ndarray:
+    """The matrix that ``lines``, the lines of the file at ``path``, hold.
+    Rows and columns are named by 0-based index; blank lines count as rows.
     A field past the csv module's size limit is bad_value naming its row."""
-    rows, reader = [], csv.reader(text_lines(path))
+    rows, reader = [], csv.reader(lines)
     for r in itertools.count():
         try:
             line = next(reader)

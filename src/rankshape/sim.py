@@ -16,7 +16,6 @@ logits, with the correctness-gated rank reward from the rewards module.
 from __future__ import annotations
 
 import functools
-import os
 import sys
 from collections.abc import Sized
 from dataclasses import dataclass
@@ -25,13 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GroupSizeError, InputError, RangeError
-from .io import RunConfig, text_lines
+from .io import RunConfig, _records, text_lines
 # group_advantages, total_reward and windowed_min_effrank are not called
 # here, but perfbench/spans.py traces them under rankshape.sim, so the
 # names must keep resolving in this module.
 from .rewards import _advantages, _gated, check_alpha, group_advantages, total_reward  # noqa: F401
-from .spectral import (_check_int, _check_real, _check_sequence, _erank_stack, _finite_array,
-                       entropy_rows)
+from .spectral import (_check_int, _check_memory, _check_real, _check_sequence, _erank_stack,
+                       _finite_array, entropy_rows)
 from .windows import _min_norm, _window_eranks, _window_plan, windowed_min_effrank  # noqa: F401
 
 # Null tokens put this fraction range of their norm in the complement and
@@ -75,17 +74,6 @@ class EnvSpec:
     @property
     def n_bias(self) -> int:
         return self.vocab - self.n_null
-
-
-def _check_memory(floats: int, request: str, arrays: str) -> None:
-    """The simulator's one memory rule: refuse a request whose float64 arrays
-    alone exceed the host's physical memory, before anything is drawn.
-    ``request`` names it up to its verb; ``arrays`` says what the bytes hold."""
-    need = floats * 8
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise InputError(f"{request} {need / 2**30:.3g} GiB {arrays}, more than this "
-                         f"host's {have / 2**30:.3g} GiB of memory")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -476,17 +464,23 @@ class SimTrace:
 
     @classmethod
     def from_csv(cls, path) -> "SimTrace":
-        lines = [line.strip() for line in text_lines(path) if line.strip()]
-        if not lines or lines[0] != cls.CSV_HEADER:
+        """The trace a CSV holds: the header line, then one row per line, each
+        read by the one line-error rule (io._records) as "<path> line N"."""
+        lines = text_lines(path)
+        if next(lines, "").strip() != cls.CSV_HEADER:
             raise InputError(f"not a trace CSV (bad header): {path}")
-        rows = [line.split(",") for line in lines[1:]]
-        if not rows or any(len(r) != len(cls.COLUMNS) for r in rows):
-            raise InputError(f"malformed trace CSV: {path}")
-        try:
-            return cls(**{name: np.array([typ(x) for x in column])
-                          for (name, typ), column in zip(cls.COLUMNS, zip(*rows))})
-        except ValueError:
-            raise InputError(f"unparseable number in trace CSV: {path}") from None
+        rows = list(_records(lines, cls._row, f"{path} line", first=2))
+        if not rows:
+            raise InputError(f"malformed trace CSV, no rows: {path}")
+        return cls(*map(np.array, zip(*rows)))
+
+    @classmethod
+    def _row(cls, line: str) -> list:
+        """One trace row: a field for each column, as that column's type."""
+        fields = line.split(",")
+        if len(fields) != len(cls.COLUMNS):
+            raise InputError(f"has {len(fields)} fields, expected {len(cls.COLUMNS)}")
+        return [typ(x) for (_, typ), x in zip(cls.COLUMNS, fields)]
 
 
 def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
@@ -500,10 +494,9 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     them with the gated rank reward at this alpha, standardizes within the
     group, and ascends the advantage-weighted log-probability. No KL term,
     no clipping, no baseline beyond the group mean. Every argument is
-    checked once, before the first draw; the loop then runs the unchecked
-    cores of sample_group, stacked_min_effrank, gated_rewards,
-    group_advantages and policy_gradient on the arrays it builds, and
-    checks only that each update leaves the logits finite.
+    checked once, before the first draw; the one training loop,
+    _iterations, then runs on the checked arguments, and train keeps each
+    iteration's group means.
     """
     _check_int(seed, "seed", low=0)
     alpha = check_alpha(alpha)
@@ -517,14 +510,25 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
     _check_int(max(iterations, group_size), "iterations and group_size", high=2**32)
 
     logits = init_policy.copy().logits
-    its = np.arange(iterations)
-    eranks = np.empty(iterations)
-    successes = np.empty(iterations)
-    rewards_out = np.empty(iterations)
-    entropies = np.empty(iterations)
-    steps = np.empty((env.horizon, group_size, env.d))
-    starts = np.asarray(starts)
+    # The group means, in the operations of x.mean().
+    rows = [(min_eranks.sum() / group_size, np.count_nonzero(correct) / group_size,
+             rewards.sum() / group_size, entropy_rows(p)) for p, correct, min_eranks, rewards
+            in _iterations(env, logits, alpha, group_size, iterations, learning_rate, seed,
+                           np.asarray(starts), w, r_max)]
+    return SimTrace(np.arange(iterations), *np.array(rows).T, final_policy=PolicyParams(logits))
 
+
+def _iterations(env: EnvSpec, logits: np.ndarray, alpha: float, group_size: int, iterations: int,
+                learning_rate: float, seed: int, starts: np.ndarray, w: int, r_max: int):
+    """The one training loop, on arguments train has checked and its window
+    plan (_window_plan) with the starts as an integer array. For each
+    iteration it yields the group's token probabilities p, verdicts,
+    min_eranks and gated rewards, then ascends ``logits`` in place, so a
+    record describes the policy before its update. It runs the unchecked
+    cores of sample_group, stacked_min_effrank, gated_rewards,
+    group_advantages and policy_gradient on the arrays it builds, and
+    checks only that each update leaves the logits finite."""
+    steps = np.empty((env.horizon, group_size, env.d))
     # Rollout i of iteration it draws as SeedSequence([seed, it, i]) would,
     # a block of iterations at a time.
     block = max(1, UNIFORM_BLOCK // (group_size * env.horizon))
@@ -539,12 +543,7 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
         tokens, states, correct = _sample(p, env, u[it % block], steps)
         min_eranks, norm_ranks = _min_norm(_window_eranks(states, starts, w), r_max)
         rewards = _gated(correct, norm_ranks, alpha)
-
-        # The group means, in the operations of x.mean().
-        eranks[it] = min_eranks.sum() / group_size
-        successes[it] = np.count_nonzero(correct) / group_size
-        rewards_out[it] = rewards.sum() / group_size
-        entropies[it] = entropy_rows(p)
+        yield p, correct, min_eranks, rewards
 
         # Each rollout's token counts sum to the horizon.
         grad = _gradient(_token_counts(tokens, env.vocab), _advantages(rewards), env.horizon * p)
@@ -553,10 +552,6 @@ def train(env: EnvSpec, init_policy: PolicyParams, alpha: float,
         if not np.isfinite(logits).all():
             raise InputError(f"logits must be finite: learning_rate {learning_rate} "
                              "overflowed them")
-
-    return SimTrace(iteration=its, mean_windowed_erank=eranks, success_rate=successes,
-                    mean_reward=rewards_out, policy_entropy=entropies,
-                    final_policy=PolicyParams(logits))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -168,6 +169,18 @@ def _check_sequence(values, what: str, error=InputError):
     if not isinstance(values, Iterable) or getattr(values, "ndim", None) == 0:
         raise error(f"{what} must be a sequence, got {values!r}")
     return values
+
+
+def _check_memory(floats: int, request: str, arrays: str) -> None:
+    """The one host-memory rule: refuse a request whose float64 arrays (or
+    other 8-byte items) alone exceed the host's physical memory, before
+    anything is built. ``request`` names it up to its verb; ``arrays`` says
+    what the bytes hold."""
+    need = floats * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise InputError(f"{request} {need / 2**30:.3g} GiB {arrays}, more than this "
+                         f"host's {have / 2**30:.3g} GiB of memory")
 
 
 def validate_trajectory(values) -> np.ndarray:

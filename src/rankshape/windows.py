@@ -18,6 +18,7 @@ from .spectral import (  # noqa: F401
     GRAM_FLOATS,
     INT64_MAX,
     _check_int,
+    _check_memory,
     _erank_rows,
     _erank_stack,
     _finite_stack,
@@ -62,7 +63,9 @@ def window_starts(T: int, width: int, stride: int) -> list[int]:
     Strided starts, plus a final window flushed to the trajectory end when
     the grid does not land on it. A trajectory no longer than the width is
     a single window. This is the one window rule: T, width and stride are
-    integers, T fits int64, width >= 2, stride >= 1 and T >= 2.
+    integers, T fits int64, width >= 2, stride >= 1 and T >= 2. Starts
+    whose count the host's memory cannot hold (spectral._check_memory) are
+    an InputError, before the list is built.
     """
     T = _check_int(T, "T", high=INT64_MAX)
     width = _check_int(width, "window width", low=2)
@@ -71,10 +74,12 @@ def window_starts(T: int, width: int, stride: int) -> list[int]:
         raise TrajectoryTooShortError("trajectory too short: need at least 2 steps")
     if T <= width:
         return [0]
-    starts = list(range(0, T - width + 1, stride))
-    if starts[-1] != T - width:
-        starts.append(T - width)
-    return starts
+    grid = range(0, T - width + 1, stride)
+    flush = [T - width] if grid[-1] != T - width else []
+    count = len(grid) + len(flush)
+    # Each start costs five 8-byte words: a list pointer and an int object.
+    _check_memory(5 * count, f"{count} windows need", "for their starts")
+    return [*grid, *flush]
 
 
 def _window_plan(T: int, d: int, width: int, stride: int):

@@ -60,7 +60,7 @@ from rankshape import (
     windowed_min_effrank,
 )
 
-AWKWARD = [2.5, True, math.nan, math.inf, "3", None, -1, 2**70, np.float64(3.0)]
+AWKWARD = [2.5, True, math.nan, math.inf, "3", None, -1, 2**40, 2**70, np.float64(3.0)]
 
 ENV = build_env(0)
 POLICY = biased_init(ENV)

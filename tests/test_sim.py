@@ -743,14 +743,19 @@ class TestSimTraceCsv:
         with pytest.raises(InputError):
             SimTrace.from_csv(path)
 
-    @pytest.mark.parametrize("rows", ["", "0,1.0,0.5,0.5\n", "0,1.0,0.5,0.5,1.0,2\n"],
-                             ids=["no-rows", "short-row", "long-row"])
-    def test_malformed_rows_rejected(self, tmp_path, rows):
+    @pytest.mark.parametrize("rows, message", [
+        ("", "malformed trace CSV, no rows: {path}"),
+        ("0,1.0,0.5,0.5\n", "{path} line 2: has 4 fields, expected 5"),
+        ("0,1.0,0.5,0.5,1.0,2\n", "{path} line 2: has 6 fields, expected 5"),
+        ("0,1.0,0.5,0.5,1.0\n\n2,1.0,x,0.5,1.0\n",
+         "{path} line 4: could not convert string to float: 'x'"),
+    ], ids=["no-rows", "short-row", "long-row", "unparseable-row"])
+    def test_malformed_rows_rejected(self, tmp_path, rows, message):
         path = tmp_path / "trace.csv"
         path.write_text(SimTrace.CSV_HEADER + "\n" + rows)
         with pytest.raises(InputError) as info:
             SimTrace.from_csv(path)
-        assert str(info.value) == f"malformed trace CSV: {path}"
+        assert str(info.value) == message.format(path=path)
 
 
 class TestTemperatureSweep:

@@ -4,6 +4,10 @@ train checks its arguments once and then runs the unchecked cores of the
 GRPO group step on the arrays it builds. reference_train is the loop built
 from the public functions, each of which checks its input on every call.
 The two must give the same trace, bit for bit.
+
+train is one consumer of the one training loop, sim._iterations. Consuming
+the loop directly gives train's trace, and each record it yields describes
+the policy before that iteration's update.
 """
 
 import numpy as np
@@ -118,3 +122,43 @@ def test_train_checks_once_whatever_the_iteration_count(monkeypatch):
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
     assert "check_alpha" in counts[0] and "window_starts" in counts[0]
+
+
+def checked_iterations(env, init, alpha, group_size=RunConfig.group_size,
+                       iterations=RunConfig.iterations, learning_rate=RunConfig.learning_rate,
+                       seed=RunConfig.train_seed, window=RunConfig.window,
+                       stride=RunConfig.stride):
+    """The logits and the records of sim._iterations on train's arguments,
+    with the window plan train makes of them."""
+    logits = init.copy().logits
+    starts, w, r_max = windows._window_plan(env.horizon, env.d, window, stride)
+    return logits, sim._iterations(env, logits, alpha, group_size, iterations, learning_rate,
+                                   seed, np.asarray(starts), w, r_max)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_consuming_the_loop_reproduces_train(name):
+    env_seed, kwargs = CASES[name]
+    kwargs = {"alpha": 0.5, "seed": env_seed + 100, **kwargs}
+    env = build_env(env_seed)
+    trace = train(env, biased_init(env), **kwargs)
+    logits, records = checked_iterations(env, biased_init(env), **kwargs)
+    rows = [(np.mean(min_eranks), np.mean(correct), np.mean(rewards),
+             spectral.entropy_rows(p)) for p, correct, min_eranks, rewards in records]
+    got = [trace.mean_windowed_erank, trace.success_rate, trace.mean_reward,
+           trace.policy_entropy]
+    for column, expected in zip(got, np.array(rows).T):
+        assert np.array_equal(column, expected)
+    assert np.array_equal(trace.final_policy.logits, logits)
+
+
+@pytest.mark.parametrize("it", [1, 33, 70])  # 33 and 70 cross UNIFORM_BLOCK's blocks of 32
+def test_each_record_describes_the_policy_before_its_update(it):
+    env = build_env(4)
+    kwargs = dict(alpha=0.5, seed=104)
+    logits, records = checked_iterations(env, biased_init(env), iterations=it + 1, **kwargs)
+    # The record, and the logits as the loop holds them when it yields the record.
+    p, held = [(record[0], logits.copy()) for record in records][it]
+    ended = train(env, biased_init(env), iterations=it, **kwargs).final_policy
+    assert np.array_equal(p, sim._softmax(ended.logits))
+    assert np.array_equal(held, ended.logits)

@@ -52,7 +52,9 @@ class TestWindowStarts:
         ((10, 3, 1.5), InputError, "stride must be an integer"),
         ((10.0, 3, 1), InputError, "T must be an integer"),
         ((1, 3, 1), TrajectoryTooShortError, "too short"),
-    ], ids=["stride-0", "width-0", "width-1", "width-float", "stride-float", "T-float", "T-1"])
+        ((2**40, 64, 16), InputError, "^68719476733 windows need .* GiB for their starts, more "),
+    ], ids=["stride-0", "width-0", "width-1", "width-float", "stride-float", "T-float", "T-1",
+            "starts-past-memory"])
     def test_arguments_are_checked(self, args, error, match):
         with pytest.raises(error, match=match) as info:
             window_starts(*args)
