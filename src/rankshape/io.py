@@ -47,8 +47,10 @@ def _file_errors(verb: str, path):
 def write_trajectory(path, H, metadata: dict | None = None) -> None:
     """Write a trajectory: HSTB binary, or CSV when the extension is .csv.
 
-    HSTB payloads are float32, so values must fit that range; CSV files
-    cannot carry metadata.
+    HSTB payloads are float32, so values must fit that range, and T, d and
+    the metadata's byte length are u32 fields, refused past 2**32 - 1
+    before anything is converted or the file is opened; CSV files cannot
+    carry metadata.
     """
     H = validate_trajectory(H)
     path = Path(path)
@@ -59,11 +61,15 @@ def write_trajectory(path, H, metadata: dict | None = None) -> None:
             for row in H:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
         return
+    meta = None if metadata is None else json.dumps(metadata).encode("utf-8")
+    sizes = {"rows": H.shape[0], "columns": H.shape[1], "metadata bytes": len(meta or b"")}
+    for what, n in sizes.items():
+        if n >= 2**32:
+            raise InputError(f"HSTB cannot hold {n} {what}: a u32 field holds at most {2**32 - 1}")
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(H, dtype="<f4")
     if not _all_finite(payload):
         raise InputError("trajectory values exceed the float32 range")
-    meta = None if metadata is None else json.dumps(metadata).encode("utf-8")
     with _file_errors("write", path), open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, H.shape[0], H.shape[1]))
         fh.write(payload)  # its buffer, so the payload's bytes are not copied

@@ -326,26 +326,26 @@ def sample_group(policy: PolicyParams, env: EnvSpec, seeds):
     for n in set(map(len, words)):
         rows = [i for i, w in enumerate(words) if len(w) == n]
         u[rows] = _uniforms(np.array([words[i] for i in rows], dtype=np.uint32), env.horizon)
-    return _sample(policy.probs(), env, u, np.empty((env.horizon, len(words), env.d)))
+    return _sample(policy.probs(), env, u)
 
 
-def _sample(p: np.ndarray, env: EnvSpec, u: np.ndarray, steps: np.ndarray):
+def _sample(p: np.ndarray, env: EnvSpec, u: np.ndarray):
     """The rollouts whose uniforms are the rows of the (G, horizon) array u,
-    under the token probabilities p. ``steps`` is a (horizon, G, d) float64
-    buffer that the recurrence runs in.
+    under the token probabilities p.
 
     Tokens come from the policy's inverse CDF: one searchsorted maps the
     block of uniforms to token ids. This is what Generator.choice(vocab,
     p=probs) does inside, so the tokens equal its draws, draw for draw. The
-    leaky recurrence then runs time-major, one contiguous (G, d) group
-    state per step.
+    leaky recurrence then runs time-major in a (horizon, G, d) array of the
+    tokens' directions that it builds, one contiguous (G, d) group state
+    per step.
     Correctness: the normalized final state's projection on u_star reaches
     tau.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
     tokens = cdf.searchsorted(u, side="right")
-    np.take(env.directions, tokens.T, axis=0, out=steps)
+    steps = env.directions[tokens.T]
     for prev, cur in zip(steps, steps[1:]):
         cur += env.decay * prev
     states = np.ascontiguousarray(steps.swapaxes(0, 1))
@@ -528,7 +528,6 @@ def _iterations(env: EnvSpec, logits: np.ndarray, alpha: float, group_size: int,
     cores of sample_group, stacked_min_effrank, gated_rewards,
     group_advantages and policy_gradient on the arrays it builds, and
     checks only that each update leaves the logits finite."""
-    steps = np.empty((env.horizon, group_size, env.d))
     # Rollout i of iteration it draws as SeedSequence([seed, it, i]) would,
     # a block of iterations at a time.
     block = max(1, UNIFORM_BLOCK // (group_size * env.horizon))
@@ -540,7 +539,7 @@ def _iterations(env: EnvSpec, logits: np.ndarray, alpha: float, group_size: int,
                                      *np.divmod(rollouts, group_size)]).astype(np.uint32)
             u = _uniforms(words, env.horizon).reshape(-1, group_size, env.horizon)
         p = _softmax(logits)
-        tokens, states, correct = _sample(p, env, u[it % block], steps)
+        tokens, states, correct = _sample(p, env, u[it % block])
         min_eranks, norm_ranks = _min_norm(_window_eranks(states, starts, w), r_max)
         rewards = _gated(correct, norm_ranks, alpha)
         yield p, correct, min_eranks, rewards

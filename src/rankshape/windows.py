@@ -36,11 +36,6 @@ DEFAULT_STRIDE = 16
 # trajectory it was 2e-13 at a ratio of 100 and 3e-12 at 3e4.
 BLOCK_SHIFT_RATIO = 16.0
 
-# Windows scored from their own rows are copied out of the stack at most
-# this many floats (512 KiB) at a time, so a long trajectory scores in
-# bounded memory.
-OWN_ROWS_FLOATS = 2**16
-
 
 @dataclass(frozen=True)
 class WindowRankProfile:
@@ -117,23 +112,24 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     do not depend on the rest of the stack: each is bit for bit its score
     alone.
 
-    A lone window, such as a whole trajectory, is scored as a view by
-    _erank_stack, whose chunked builder holds no float64 copy of it, so it
-    scores bit for bit as covariance_spectrum does. Two or more windows are
-    each scored from their own centred rows (_own_eranks) when w >= d.
-    When w < d, the starts go in blocks that span fewer than w offsets and
-    hold at most GRAM_FLOATS // w^2 starts (at least one), so a block's
-    rows H[..., b0:last + w, :] number fewer than 2w, its stacked w x w
-    Grams hold at most GRAM_FLOATS floats per trajectory at any stride,
-    and its windows are scored together: one Gram product of the block's
-    rows, shifted by their own mean, holds every window's Gram; each w x w
-    slice is double-centred (J G J / w) and the block's slices share one
-    stacked eigensolve. The product rounds at the scale of the shifted
-    rows, so a trajectory with any window of the block whose shifted
-    energy exceeds its centred energy by more than BLOCK_SHIFT_RATIO (a
-    quiet stretch beside busy rows, or a constant window) has that block
-    scored from its windows' own rows instead, by _own_eranks on a copy of
-    the block's rows of those trajectories.
+    Each window is scored from its own centred rows (_own_eranks) when
+    there is one, such as a whole trajectory, or when w >= d: one view at a
+    time, by the eigen core, whose chunked builder holds no float64 copy of
+    it, so a lone window scores bit for bit as covariance_spectrum does.
+    Two or more windows with w < d go in blocks that span fewer than w
+    offsets and hold at most GRAM_FLOATS // w^2 starts (at least one), so a
+    block's rows H[..., b0:last + w, :] number fewer than 2w, its stacked
+    w x w Grams hold at most GRAM_FLOATS floats per trajectory at any
+    stride, and its windows are scored together: one Gram product of the
+    block's rows, shifted by their own mean, holds every window's Gram;
+    each w x w slice is double-centred (J G J / w) and the block's slices
+    share one stacked eigensolve. The product rounds at the scale of the
+    shifted rows, so a trajectory with any window of the block whose
+    shifted energy exceeds its centred energy by more than
+    BLOCK_SHIFT_RATIO (a quiet stretch beside busy rows, or a constant
+    window) has that block scored from its windows' own rows instead: the
+    block's rows of those trajectories are copied once, and _own_eranks
+    scores each window on a view of that copy.
 
     H may be float32 (a trajectory as stored in HSTB) or float64. A
     block's mean is summed in float64 from its stored rows, and its rows
@@ -146,9 +142,7 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     validate_trajectory, _finite_stack or the reader, and the simulator
     builds its own states.
     """
-    if len(starts) == 1:
-        return _erank_stack(H[..., None, starts[0]:starts[0] + w, :])
-    if w >= H.shape[-1]:
+    if len(starts) == 1 or w >= H.shape[-1]:
         return _own_eranks(H, starts, w)
     eranks = np.empty(H.shape[:-2] + (len(starts),))
     most = max(1, GRAM_FLOATS // (w * w))  # windows a block's stacked Grams may hold
@@ -180,14 +174,10 @@ def _window_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
 
 def _own_eranks(H: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     """_window_eranks of the (..., T, d) stack H with each window scored from
-    its own centred rows through _erank_stack. The windows are copied out of
-    the stack as many at a time as fit in OWN_ROWS_FLOATS (at least one)."""
-    eranks = np.empty(H.shape[:-2] + (len(starts),))
-    rows = starts[:, None] + np.arange(w)
-    chunk = max(1, OWN_ROWS_FLOATS // max(1, H[..., 0, :].size * w))
-    for k in range(0, len(starts), chunk):
-        eranks[..., k:k + chunk] = _erank_stack(H[..., rows[k:k + chunk], :])
-    return eranks
+    its own centred rows: one _erank_stack call per start, on the view
+    H[..., s:s + w, :], so no window is copied out of the stack; the eigen
+    core widens and centres it a chunk at a time."""
+    return np.stack([_erank_stack(H[..., s:s + w, :]) for s in starts], axis=-1)
 
 
 def stacked_min_effrank(states: np.ndarray, width: int = DEFAULT_WIDTH,

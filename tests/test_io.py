@@ -66,6 +66,39 @@ class TestHstbRoundTrip:
         with pytest.raises(InputError):
             write_trajectory(tmp_path / "traj.hstb", [[1e300]])
 
+    def test_rows_past_u32_refused_before_converting_or_opening(self, tmp_path):
+        """T is a u32 header field. A (2**32, 1) broadcast view allocates
+        nothing; the writer must refuse it before it converts the view to a
+        16 GiB payload and before it truncates the target. (A (1, 2**32)
+        view would make the finite check build a 4 GiB mask.)"""
+        path = tmp_path / "traj.hstb"
+        write_trajectory(path, [[1.0, 2.0]])
+        before = path.read_bytes()
+        with pytest.raises(InputError, match="HSTB cannot hold 4294967296 rows") as info:
+            write_trajectory(path, np.broadcast_to(np.zeros((1, 1)), (2**32, 1)))
+        assert info.value.code == "input"
+        assert path.read_bytes() == before
+
+    def test_metadata_past_u32_refused_before_opening(self, tmp_path, monkeypatch):
+        """The metadata block's length is a u32 field; json.dumps is stubbed
+        so that the encoded block reports 2**32 bytes."""
+        class HugeBytes(bytes):
+            def __len__(self):
+                return 2**32
+
+        class HugeText(str):
+            def encode(self, *args, **kwargs):
+                return HugeBytes()
+
+        path = tmp_path / "traj.hstb"
+        write_trajectory(path, [[1.0, 2.0]], metadata={"a": 1})
+        before = path.read_bytes()
+        monkeypatch.setattr(json, "dumps", lambda obj: HugeText())
+        with pytest.raises(InputError, match="HSTB cannot hold 4294967296 metadata bytes") as info:
+            write_trajectory(path, [[3.0, 4.0]], metadata={"b": 2})
+        assert info.value.code == "input"
+        assert path.read_bytes() == before
+
 
 class TestHstbErrors:
     def write_raw(self, tmp_path, blob):
@@ -168,6 +201,7 @@ def test_hstb_read_allocates_little_beyond_its_result(tmp_path):
     assert peak <= 1.5 * H.nbytes + 2**20
 
 
+@pytest.mark.budget
 def test_hstb_read_adds_at_most_one_check_chunk_over_its_payload(tmp_path):
     """The finiteness check reads FINITE_CHUNK values at a time, so reading
     holds the float32 payload, one chunk's bool mask and the file object's
@@ -186,6 +220,7 @@ def test_hstb_read_adds_at_most_one_check_chunk_over_its_payload(tmp_path):
     assert peak <= bound
 
 
+@pytest.mark.budget
 def test_hstb_write_holds_one_copy_of_its_payload(tmp_path):
     """The writer converts the trajectory to its float32 payload once, checks
     it FINITE_CHUNK values at a time, and writes the header, the payload's
@@ -209,6 +244,7 @@ def test_hstb_write_holds_one_copy_of_its_payload(tmp_path):
     assert peak <= bound
 
 
+@pytest.mark.budget
 @pytest.mark.parametrize("command, bound", [("window-rank", 2.0), ("effrank", 4.5)])
 def test_cli_scores_hstb_without_a_whole_float64_copy(tmp_path, capsys, command, bound):
     """window-rank keeps the float32 payload and widens one block at a time
@@ -233,6 +269,7 @@ def test_cli_scores_hstb_without_a_whole_float64_copy(tmp_path, capsys, command,
     assert peak <= bound * payload_bytes
 
 
+@pytest.mark.budget
 @pytest.mark.parametrize("T, d", [(256, 1024), (1024, 256)], ids=["gram", "covariance"])
 def test_cli_effrank_holds_the_payload_the_matrix_and_two_chunk_buffers(tmp_path, capsys,
                                                                         monkeypatch, T, d):
@@ -262,6 +299,7 @@ def test_cli_effrank_holds_the_payload_the_matrix_and_two_chunk_buffers(tmp_path
     assert peak <= bound
 
 
+@pytest.mark.budget
 def test_cli_window_rank_of_one_whole_window_holds_what_effrank_holds(tmp_path, capsys,
                                                                        monkeypatch):
     """window-rank --w T on a T < d file scores its one window through the

@@ -336,8 +336,8 @@ def test_train_tokens_equal_per_rollout_generators(monkeypatch):
     seen = []
     core = sim._sample
 
-    def spy(p, env, u, steps):
-        out = core(p, env, u, steps)
+    def spy(p, env, u):
+        out = core(p, env, u)
         seen.append((p.copy(), out[0]))
         return out
 

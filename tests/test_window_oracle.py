@@ -4,11 +4,9 @@ plain way: the block's rows copied to float64, their mean taken by
 block. _window_eranks instead sums the mean in float64 from the stored rows
 and widens and shifts them in one subtraction; its scores must be equal bit
 for bit, for float32 and float64 input, one trajectory or a stack, and blocks
-where every, no or some trajectory falls back to its own rows. With
-OWN_ROWS_FLOATS made small, windows scored from their own rows are copied
-out a few at a time, and the scores must not change. The widths drawn
-here are at most 12, so the block cap of GRAM_FLOATS // w^2 windows never
-binds; test_windows.py checks capped blocks."""
+where every, no or some trajectory falls back to its own rows. The widths
+drawn here are at most 12, so the block cap of GRAM_FLOATS // w^2 windows
+never binds; test_windows.py checks capped blocks."""
 
 import numpy as np
 import pytest
@@ -18,7 +16,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rankshape.spectral import _erank_rows, _top_eigen, erank_stack  # noqa: E402
-from rankshape import windows  # noqa: E402
 from rankshape.windows import BLOCK_SHIFT_RATIO, _window_eranks, _window_plan  # noqa: E402
 
 
@@ -108,12 +105,10 @@ def test_block_scorer_equals_the_widen_and_shift_oracle_bit_for_bit(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(scorer_inputs(), scorer_inputs(wide=True)), st.integers(1, 3000))
-def test_own_rows_scored_in_small_chunks_equal_the_oracles_bit_for_bit(case, floats):
-    """OWN_ROWS_FLOATS is cut to ``floats``, so a chunk holds one or a few
-    windows and its edges fall inside the blocks that fall back and inside
-    the w >= d runs. The module constant is patched here, in the test body:
-    hypothesis refuses the function-scoped monkeypatch fixture."""
+@given(st.one_of(scorer_inputs(), scorer_inputs(wide=True)))
+def test_own_rows_scored_one_window_at_a_time_equal_the_oracles_bit_for_bit(case):
+    """Windows scored from their own rows, in the blocks that fall back and
+    in the w >= d runs, one view at a time."""
     H, width, stride, _ = case
     starts, w, _ = _window_plan(*H.shape[-2:], width, stride)
     starts = np.asarray(starts)
@@ -121,10 +116,5 @@ def test_own_rows_scored_in_small_chunks_equal_the_oracles_bit_for_bit(case, flo
         expected = oracle_own_eranks(H, starts, w)
     else:
         expected, _ = oracle_window_eranks(H, starts, w)
-    saved = windows.OWN_ROWS_FLOATS
-    windows.OWN_ROWS_FLOATS = floats
-    try:
-        got = _window_eranks(H, starts, w)
-    finally:
-        windows.OWN_ROWS_FLOATS = saved
+    got = _window_eranks(H, starts, w)
     assert got.tobytes() == expected.tobytes()

@@ -21,7 +21,7 @@ from rankshape import (
     windowed_min_effrank,
 )
 from rankshape import windows
-from rankshape.windows import GRAM_FLOATS, OWN_ROWS_FLOATS, _window_eranks
+from rankshape.windows import GRAM_FLOATS, _window_eranks
 
 
 def profile_with(min_erank, r_max):
@@ -287,6 +287,7 @@ class TestStackedMinEffrank:
         for g, H in enumerate(states):
             assert min_erank[g] == windowed_min_effrank(H, 8, 4).min_erank
 
+    @pytest.mark.budget
     @pytest.mark.parametrize("T, w, s", [(1024, 64, 16), (512, 256, 4)], ids=["w64", "w256"])
     def test_block_scorer_holds_one_buffer_and_the_block_grams(self, T, w, s):
         """At w < d a float32 (T, d) trajectory is scored one block at a
@@ -313,21 +314,19 @@ class TestStackedMinEffrank:
         print(f"BUDGET test_block_scorer_holds_one_buffer_and_the_block_grams[w{w}] {peak} {bound}")
         assert peak <= bound
 
-    def test_falling_back_block_copies_one_chunk_of_windows_at_a_time(self):
+    @pytest.mark.budget
+    def test_falling_back_block_copies_its_rows_once_and_widens_one_window_at_a_time(self):
         """At stride 1 a constant stretch sends whole blocks of k = w windows
         to their own rows. Beyond the block scorer's buffer and Grams, such a
         block holds its rows of the trajectory, copied once (4 n d bytes of
-        float32), and one chunk of its windows: OWN_ROWS_FLOATS values, or
-        one window when a window holds more, copied out and widened (4 + 8
-        bytes a value), with a w x w Gram per window. None of that grows
-        with k; copying the block's windows all at once would add 12 k w d
-        bytes."""
+        float32), and one window at a time widened from a view of that copy
+        (8 w d bytes) with its w x w Gram. None of that grows with k;
+        copying the block's windows out would add 12 w d bytes a window."""
         T, d, w, s = 1024, 512, 64, 1
         k = w // s
         n = (k - 1) * s + w
         H = np.random.default_rng(0).normal(size=(T, d)).astype(np.float32)
         H[300:420] = H[300]
-        chunk = max(1, OWN_ROWS_FLOATS // (w * d))
         tracemalloc.start()
         try:
             eranks = _window_eranks(H, np.asarray(window_starts(T, w, s)), w)
@@ -336,8 +335,33 @@ class TestStackedMinEffrank:
             tracemalloc.stop()
         assert eranks[300:357].tolist() == [1.0] * 57  # the windows inside the stretch
         blocks = 8 * (min(T, 2 * w) * d + n * n + 4 * k * w * w)
-        bound = blocks + 4 * n * d + chunk * (12 * w * d + 8 * w * w)
-        print(f"BUDGET test_falling_back_block_copies_one_chunk_of_windows_at_a_time {peak} {bound}")
+        bound = blocks + 4 * n * d + 8 * w * d + 8 * w * w
+        print(f"BUDGET test_falling_back_block_copies_its_rows_once_and_widens_one_window_at_a_time "
+              f"{peak} {bound}")
+        assert peak <= bound
+
+    @pytest.mark.budget
+    @pytest.mark.parametrize("shape, w, s", [((4096, 16), 64, 16), ((8, 512, 16), 32, 8)],
+                             ids=["4096x16", "8x512x16"])
+    def test_own_rows_scoring_copies_no_window(self, shape, w, s):
+        """With w >= d every window is scored from its own rows, one view at
+        a time: the peak is at most four arrays the size of one widened
+        window and its d x d matrix, plus the per-window results (an array object and
+        the stack's floats each). No term grows with windows x w; copying
+        the windows out, even a chunk at a time, would."""
+        *stack, T, d = shape
+        G = int(np.prod(stack))
+        starts = np.asarray(window_starts(T, w, s))
+        H = np.random.default_rng(0).normal(size=shape)
+        tracemalloc.start()
+        try:
+            _window_eranks(H, starts, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 4 * 8 * G * (w * d + d * d) + len(starts) * (512 + 8 * G)
+        print(f"BUDGET test_own_rows_scoring_copies_no_window[{'x'.join(map(str, shape))}] "
+              f"{peak} {bound}")
         assert peak <= bound
 
     @pytest.mark.parametrize("most", [1, 2, 3])  # uncapped, a block holds 4 windows
